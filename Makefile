@@ -5,7 +5,7 @@ GO ?= go
 # reference, not a file to overwrite).
 BENCH_OUT ?= BENCH_epoch.json
 
-.PHONY: build test check lint cover bench bench-compare bench-paper gate gate-update chaos fuzz mdcheck serve-smoke quant-smoke span-smoke ps-smoke localsgd-smoke hetero-smoke
+.PHONY: build test check lint cover bench bench-compare bench-paper bench-selftest gate gate-update chaos fuzz mdcheck serve-smoke quant-smoke span-smoke ps-smoke localsgd-smoke hetero-smoke
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,13 @@ bench-compare:
 # bench-paper regenerates the paper's tables at a small scale with a trace.
 bench-paper:
 	$(GO) run ./cmd/sgdbench -experiment table2,table3 -maxn 1000 -trace run.jsonl -obs
+
+# bench-selftest vets and tests benchmark/, the system benchmark behind
+# BENCHMARK.json. It is a module of its own (repro/benchmark), so `build`,
+# `test` and `check` at the root never compile it; this does, in under a
+# second (its tests cover the benchmark's arithmetic, not the workloads).
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # chaos runs the 12-config ladder (the paper's 8 engines plus the Local-SGD
 # and heterogeneous CPU+GPU tiers) under the storm fault plan on the

@@ -61,3 +61,31 @@ func BenchmarkHogbatchSeqEpoch(b *testing.B) {
 		e.RunEpoch(w)
 	}
 }
+
+// BenchmarkLocalSGDEpoch measures a Local-SGD epoch (K=2, H=16) at both ends
+// of the write-set merge: real-sim rows touch a sliver of the d = 20 958
+// model per round, covtype rows are dense (every round writes all d = 54).
+func BenchmarkLocalSGDEpoch(b *testing.B) {
+	for _, bc := range []struct{ name, dataset string }{
+		{"sparse", "real-sim"},
+		{"dense", "covtype"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(2)
+			defer runtime.GOMAXPROCS(prev)
+			p := pool.New(2)
+			defer p.Close()
+			ds, _ := smallDataset(b, bc.dataset, 2000)
+			m := model.NewLR(ds.D())
+			e := NewLocalSGD(m, ds, 0.1, 2, 16)
+			e.Pool = p
+			w := m.InitParams(1)
+			e.RunEpoch(w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.RunEpoch(w)
+			}
+		})
+	}
+}

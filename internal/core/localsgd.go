@@ -30,7 +30,11 @@ const (
 // private cache-line-aligned copy of the model, take H local SGD steps on
 // their own shard of the epoch's shuffle, and then barrier-average — the
 // published model becomes the mean of the replica vectors and every replica
-// restarts from it. H=1 degenerates to per-step-averaged mini-batch SGD
+// restarts from it. The barrier costs what the round wrote, not d·K: each
+// replica records the components it writes (touchUpdater), and the merge
+// averages the union of those write sets in place — every other component is
+// already equal in the published vector and all replicas (see merge).
+// H=1 degenerates to per-step-averaged mini-batch SGD
 // (maximum statistical efficiency, maximum communication); H = shard length
 // is one-shot averaging (no communication until the epoch ends). Sweeping H
 // walks the hardware-vs-statistical-efficiency frontier between the paper's
@@ -72,8 +76,9 @@ type LocalSGDEngine struct {
 
 	rng     *rand.Rand
 	perm    []int
-	bounds  []int       // replica shard bounds over perm (contiguous, equal±1)
-	reps    [][]float64 // private replica vectors, 64B-aligned
+	bounds  []int          // replica shard bounds over perm (contiguous, equal±1)
+	reps    [][]float64    // private replica vectors, 64B-aligned
+	upds    []touchUpdater // per-replica write-set recorders
 	scrs    []model.Scratch
 	wgt     []float64 // per-round receive weights under chaos
 	shares  []float64
@@ -153,12 +158,17 @@ func (e *LocalSGDEngine) prepare() {
 	dim := e.Model.NumParams()
 	e.bounds = make([]int, k+1)
 	e.reps = make([][]float64, k)
+	e.upds = make([]touchUpdater, k)
 	e.scrs = make([]model.Scratch, k)
 	e.wgt = make([]float64, k)
 	e.shares = make([]float64, k)
 	for r := 0; r < k; r++ {
 		e.bounds[r] = r * n / k
 		e.reps[r] = model.AlignedVec(dim)
+		e.upds[r] = touchUpdater{
+			stamp: make([]uint32, dim),
+			list:  make([]int32, 0, dim),
+		}
 		e.scrs[r] = e.Model.NewScratch()
 	}
 	e.bounds[k] = n
@@ -200,12 +210,15 @@ func (e *LocalSGDEngine) RunEpoch(w []float64) float64 {
 		}
 	}
 
-	// Every replica starts the epoch from the published model.
+	// Every replica starts the epoch from the published model, with empty
+	// write sets (an all-dropped final round may have left some behind).
 	e.bcast = broadcastTask{src: w, reps: e.reps}
 	p.Run(k, k, &e.bcast)
+	e.newRound()
 
 	var gradUnits, reduceUnits, extraUnits float64
 	rounds := 0
+	var merged int64
 	for off := 0; ; off += e.H {
 		longest := 0
 		for r := 0; r < k; r++ {
@@ -229,6 +242,7 @@ func (e *LocalSGDEngine) RunEpoch(w []float64) float64 {
 		// Idle replicas (exhausted shard) keep weight 1 — they re-submit the
 		// previous average unchanged, which keeps the barrier a true mean.
 		wsum := float64(k)
+		weighted := false
 		for r := 0; r < k; r++ {
 			e.wgt[r] = 1
 		}
@@ -244,8 +258,10 @@ func (e *LocalSGDEngine) RunEpoch(w []float64) float64 {
 				switch e.streams[r].Fate() {
 				case chaos.FateDrop:
 					e.wgt[r] = 0
+					weighted = true
 				case chaos.FateDup:
 					e.wgt[r] = 2
+					weighted = true
 				}
 			}
 			// The barrier waits for the slowest contribution: the round's
@@ -257,29 +273,79 @@ func (e *LocalSGDEngine) RunEpoch(w []float64) float64 {
 			}
 			if wsum == 0 {
 				// Every contribution dropped: no average to publish; the
-				// replicas carry their local progress into the next round.
+				// replicas carry their local progress — and their write
+				// sets — into the next round.
 				continue
 			}
 		}
 
-		// Barrier average: fold the replicas into the published vector and
-		// broadcast it back. Component-parallel, replica-ordered — bitwise
-		// identical to a serial mean (see reduceTask).
-		e.reduce = reduceTask{dst: w, reps: e.reps, wsum: wsum}
-		if chaosOn {
-			e.reduce.wgt = e.wgt
+		// Barrier average: the published vector and every replica leave the
+		// round holding the replica-ordered mean.
+		if weighted {
+			// Receive weights other than 1 move even components nobody
+			// wrote (a dropped replica's share is redistributed), so a
+			// faulted round folds and rebroadcasts the whole vector.
+			e.reduce = reduceTask{dst: w, reps: e.reps, wgt: e.wgt, wsum: wsum}
+			p.RunGrain(p.Size(), len(w), reduceGrain, &e.reduce)
+			p.Run(k, k, &e.bcast)
+			merged += int64(len(w))
+		} else {
+			merged += int64(e.merge(w))
 		}
-		p.RunGrain(p.Size(), len(w), reduceGrain, &e.reduce)
-		e.bcast = broadcastTask{src: w, reps: e.reps}
-		p.Run(k, k, &e.bcast)
+		e.newRound()
 	}
 
-	e.record(rounds, gradUnits, reduceUnits, extraUnits)
+	e.record(rounds, merged, gradUnits, reduceUnits, extraUnits)
 	return (gradUnits + reduceUnits + extraUnits) * e.SecPerUnit
 }
 
+// merge is the healthy barrier average: it visits the union of the replicas'
+// write sets once and leaves w[j] and every replica's j holding the
+// replica-ordered mean (summed ascending from 0.0, divided by K — reduceTask's
+// arithmetic), returning how many components it averaged. It runs serially on
+// the caller: a sparse round writes on the order of K·H·nnz components, too
+// little to pay a pool wake-up for (DESIGN §16 has the measurements, and why
+// rounds that write most of the model get no dense fold of their own).
+// Replica 0's stamps double as the union's "seen" marks: a component listed
+// by a later replica is skipped if replica 0 wrote it or an earlier replica
+// already brought it here.
+func (e *LocalSGDEngine) merge(w []float64) int {
+	k := float64(len(e.reps))
+	first := &e.upds[0]
+	n := 0
+	for r := range e.upds {
+		for _, j32 := range e.upds[r].list {
+			j := int(j32)
+			if r > 0 {
+				if first.stamp[j] == first.round {
+					continue
+				}
+				first.stamp[j] = first.round
+			}
+			s := 0.0
+			for _, rep := range e.reps {
+				s += rep[j]
+			}
+			m := s / k
+			w[j] = m
+			for _, rep := range e.reps {
+				rep[j] = m
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// newRound empties every replica's write set.
+func (e *LocalSGDEngine) newRound() {
+	for r := range e.upds {
+		e.upds[r].reset()
+	}
+}
+
 // record emits the epoch's phase decomposition and counters.
-func (e *LocalSGDEngine) record(rounds int, gradUnits, reduceUnits, extraUnits float64) {
+func (e *LocalSGDEngine) record(rounds int, merged int64, gradUnits, reduceUnits, extraUnits float64) {
 	if e.Chaos.Enabled() {
 		for r := 0; r < e.Replicas && r < len(e.streams); r++ {
 			if e.streams[r] != nil {
@@ -299,13 +365,15 @@ func (e *LocalSGDEngine) record(rounds int, gradUnits, reduceUnits, extraUnits f
 	}
 	rec.Add(obs.CounterWorkerUpdates, int64(len(e.perm)))
 	rec.Add(obs.CounterLocalRounds, int64(rounds))
+	rec.Add(obs.CounterLocalMergedComponents, merged)
 	for _, s := range e.shares {
 		rec.Observe(obs.MetricWorkerShare, s)
 	}
 }
 
 // localStepTask runs replicas [lo, hi) through one round of local steps.
-// Replica r reads and writes only reps[r]/scrs[r] and its own shard segment.
+// Replica r reads and writes only reps[r]/upds[r]/scrs[r] and its own shard
+// segment.
 type localStepTask struct {
 	e   *LocalSGDEngine
 	off int
@@ -319,11 +387,48 @@ func (t *localStepTask) Run(lo, hi int) {
 			continue
 		}
 		wr := e.reps[r]
+		upd := &e.upds[r]
 		scr := e.scrs[r]
 		start := e.bounds[r] + t.off
 		for _, i := range e.perm[start : start+seg] {
-			e.Model.SGDStep(wr, e.Data, i, e.Step, model.RawUpdater{}, scr)
+			e.Model.SGDStep(wr, e.Data, i, e.Step, upd, scr)
 		}
+	}
+}
+
+// touchUpdater is the model.Updater a replica steps through: the plain
+// store of RawUpdater (the vector is private) plus a record of which
+// components the replica has written since the last barrier merge. Every
+// Model.SGDStep routes all of its writes through Updater.Add, so the list is
+// the replica's complete write set for LR, SVM and MLP alike.
+//
+// stamp[i] == round marks component i as already listed, so the list holds
+// each component once (it is allocated at d entries and never grows) and
+// emptying it is a counter bump, not a clear.
+type touchUpdater struct {
+	stamp []uint32
+	list  []int32
+	round uint32
+	_     [64]byte // replicas append concurrently: keep their headers on separate cache lines
+}
+
+// Add implements model.Updater.
+func (u *touchUpdater) Add(w []float64, i int, delta float64) {
+	w[i] += delta
+	if u.stamp[i] != u.round {
+		u.stamp[i] = u.round
+		u.list = append(u.list, int32(i))
+	}
+}
+
+// reset empties the write set by moving to a fresh stamp value.
+func (u *touchUpdater) reset() {
+	u.list = u.list[:0]
+	u.round++
+	if u.round == 0 {
+		// The stamp wrapped: old marks would read as current.
+		clear(u.stamp)
+		u.round = 1
 	}
 }
 
@@ -339,9 +444,8 @@ const reduceGrain = 2048
 // — a pairwise tree over replicas would not be, floating-point addition not
 // being associative.
 //
-// wgt is nil on the healthy path (plain mean over len(reps)); under chaos it
-// carries the round's receive weights (0 dropped, 2 duplicated) with wsum
-// their sum.
+// wgt is nil for a plain mean over len(reps); under chaos it carries the
+// round's receive weights (0 dropped, 2 duplicated) with wsum their sum.
 type reduceTask struct {
 	dst  []float64
 	reps [][]float64

@@ -244,7 +244,11 @@ func (e *AsyncLocalSGDEngine) RunEpoch(w []float64) float64 {
 			for r := 0; r < k; r++ {
 				stalenessSum += int64(e.stepsSince[r])
 			}
-			e.serialMeanInto(e.pub)
+			// Folded serially inside the timer's turn: dispatching on the
+			// shared pool here would interleave real goroutines with the
+			// sequenced schedule.
+			e.reduce = reduceTask{dst: e.pub, reps: e.reps, wsum: float64(k)}
+			e.reduce.Run(0, len(e.pub))
 			version++
 			rounds++
 		}
@@ -262,22 +266,6 @@ func (e *AsyncLocalSGDEngine) RunEpoch(w []float64) float64 {
 	sec := makespan * e.SecPerUnit
 	e.record(n, rounds, stalenessSum, makespan, chaosOn, streams)
 	return sec
-}
-
-// serialMeanInto folds the replica vectors into dst as a plain serial mean.
-// It runs inside the aggregator's turn, where dispatching on the shared pool
-// would interleave real goroutines with the sequenced schedule; at gate-scale
-// dimensions the serial fold is cheap, and it is trivially the reduction the
-// parallel reduceTask must match bitwise.
-func (e *AsyncLocalSGDEngine) serialMeanInto(dst []float64) {
-	k := float64(len(e.reps))
-	for j := range dst {
-		s := 0.0
-		for _, r := range e.reps {
-			s += r[j]
-		}
-		dst[j] = s / k
-	}
 }
 
 // record emits the epoch's phases and counters: gradient = the balanced

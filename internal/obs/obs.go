@@ -177,6 +177,12 @@ const (
 	// CounterLocalStalenessSum / CounterLocalRounds is the mean per-round
 	// drift across the replica set.
 	CounterLocalStalenessSum
+	// CounterLocalMergedComponents counts the model components the
+	// synchronous Local-SGD barrier averaged in one epoch: the size of each
+	// round's write set, or the model dimension d for a chaos round that
+	// folded the whole vector. Divided by CounterLocalRounds·d it is the
+	// touched fraction of the dataset/K/H combination as observed.
+	CounterLocalMergedComponents
 	// CounterHeteroCPUBatches counts batches the heterogeneous co-training
 	// engines (internal/core HeteroEngine / HeteroAsyncEngine) assigned to
 	// the CPU worker pool in one epoch.
@@ -261,6 +267,8 @@ func (c Counter) String() string {
 		return "local_rounds"
 	case CounterLocalStalenessSum:
 		return "local_staleness_sum"
+	case CounterLocalMergedComponents:
+		return "local_merged_components"
 	case CounterHeteroCPUBatches:
 		return "hetero_cpu_batches"
 	case CounterHeteroGPUBatches:
