@@ -1,11 +1,6 @@
 GO ?= go
 
-# bench output path: CI overrides this to a temp location so a bench run
-# never dirties the working tree (the committed BENCH_baseline.json is the
-# reference, not a file to overwrite).
-BENCH_OUT ?= BENCH_epoch.json
-
-.PHONY: build test check lint cover bench bench-compare bench-paper bench-selftest gate gate-update chaos fuzz mdcheck serve-smoke quant-smoke span-smoke ps-smoke localsgd-smoke hetero-smoke
+.PHONY: build test check lint cover bench bench-paper bench-selftest gate gate-update chaos fuzz mdcheck serve-smoke quant-smoke span-smoke ps-smoke localsgd-smoke hetero-smoke
 
 build:
 	$(GO) build ./...
@@ -55,20 +50,14 @@ gate:
 gate-update:
 	$(GO) run ./cmd/sgdgate compare -update
 
-# bench measures the host-side epoch engineering (pool vs spawn dispatch,
-# nnz-balanced vs even sparse partitioning, steady-state allocation proofs)
-# and writes $(BENCH_OUT). Pass BENCH_FLAGS=-short for the CI-sized run.
+# bench runs the system benchmark behind BENCHMARK.json: every workload once
+# at seed 1, end-to-end metrics only (~25 s each; the last stdout line of
+# each run is its JSON result). It builds under .bench_build/ and writes
+# nothing else. See benchmark/README.md for --trace 1 and the A/A study.
 bench:
-	$(GO) run ./cmd/epochbench $(BENCH_FLAGS) -out $(BENCH_OUT)
-
-# bench-compare is the noise-aware perf gate: a fresh bench run written to a
-# temp path and diffed against the committed baseline (allocation counts
-# exact, dimensionless invariants absolute, wall-clock ratios only between
-# comparable runs).
-bench-compare:
-	$(GO) run ./cmd/epochbench $(BENCH_FLAGS) \
-		-out $${BENCH_TMP:-$$(mktemp -t BENCH_new.XXXXXX.json)} \
-		-compare BENCH_baseline.json
+	@for w in sync-kernels async-hogwild replica-merge ps-cluster serve-hotswap; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 22 --trace 0 || exit 1; \
+	done
 
 # bench-paper regenerates the paper's tables at a small scale with a trace.
 bench-paper:
@@ -109,7 +98,7 @@ serve-smoke:
 # then quantised, probe every row's score against the analytic error bound,
 # and fail if the quantised path costs throughput (serving requests are
 # dispatch-dominated, so the floor is "no slower than ~0.8x float"; the
-# >= 1.5x kernel-level win is gated separately via bench-compare).
+# kernels themselves are timed by benchmark/'s linalg.*_score_ms probes).
 quant-smoke:
 	$(GO) run ./cmd/sgdload -quant-ab -duration 2s -conc 64 -check -expect-speedup 0.8 \
 		-out $${QUANT_TMP:-$$(mktemp -t quant-smoke.XXXXXX.json)}

@@ -3,16 +3,13 @@
 // cube, plus the sharded parameter-server, Local-SGD and heterogeneous
 // CPU+GPU tiers (14 configs in all), at a small seeded scale and checks the
 // convergence curves against committed goldens (deterministic engines) or
-// quantile envelopes (asynchronous engines), plus a noise-aware diff of the
-// epochbench performance report against its committed baseline.
+// quantile envelopes (asynchronous engines).
 //
 // Subcommands:
 //
 //	sgdgate run     [-only substr] [-report out.json]  run the matrix, write raw curves (no gating)
 //	sgdgate compare [-only substr] [-golden dir] [-report out.json] [-update]
 //	                                               gate against goldens; -update re-records them
-//	sgdgate bench   -baseline BENCH_baseline.json -new BENCH_epoch.json [-report out.json]
-//	                                               perf gate: diff fresh bench report vs baseline
 //
 // -only keeps the configurations whose fingerprint key contains the
 // substring; a substring matching nothing is a usage error, so a typo can
@@ -45,8 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdRun(args[1:], stdout, stderr)
 	case "compare":
 		return cmdCompare(args[1:], stdout, stderr)
-	case "bench":
-		return cmdBench(args[1:], stdout, stderr)
 	default:
 		usage(stderr)
 		return 2
@@ -54,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(stderr io.Writer) {
-	fmt.Fprintln(stderr, "usage: sgdgate {run|compare|bench} [flags]  (see go doc ./cmd/sgdgate)")
+	fmt.Fprintln(stderr, "usage: sgdgate {run|compare} [flags]  (see go doc ./cmd/sgdgate)")
 }
 
 func fail(stderr io.Writer, err error) int {
@@ -134,36 +129,5 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintln(stdout, "sgdgate: convergence gate passed")
-	return 0
-}
-
-// cmdBench is the performance gate.
-func cmdBench(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	baseline := fs.String("baseline", "BENCH_baseline.json", "committed baseline report")
-	fresh := fs.String("new", "BENCH_epoch.json", "fresh epochbench report")
-	report := fs.String("report", "", "write the gate report as JSON to this path")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	rep, err := regress.CompareBenchFiles(*baseline, *fresh, nil)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	for _, c := range rep.Checks {
-		fmt.Fprintf(stdout, "%-6s %-45s %s\n", c.Status, c.Metric, c.Detail)
-	}
-	if !rep.Comparable {
-		fmt.Fprintf(stdout, "sgdgate: wall-clock ratios skipped (%s)\n", rep.Skipped)
-	}
-	if err := regress.WriteReport(*report, rep); err != nil {
-		return fail(stderr, err)
-	}
-	if !rep.Pass {
-		fmt.Fprintln(stderr, "sgdgate: bench gate FAILED")
-		return 1
-	}
-	fmt.Fprintln(stdout, "sgdgate: bench gate passed")
 	return 0
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/race"
 )
 
 // tinyOpts keeps harness tests fast: two datasets, small N, short budgets.
@@ -134,6 +136,13 @@ func TestFig8RowsPopulated(t *testing.T) {
 }
 
 func TestFig9TFSpeedupBelowOurs(t *testing.T) {
+	if race.Enabled {
+		// The cpu-par Hogbatch cell races real threads on one shared model —
+		// racy by design. One P sends it down its emulated-staleness
+		// pipeline, as on a one-core host; every other cell runs unchanged.
+		old := runtime.GOMAXPROCS(1)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
 	opts := tinyOpts()
 	opts.Tasks = []string{"mlp"}
 	opts.Datasets = []string{"w8a"}

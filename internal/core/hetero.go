@@ -96,9 +96,6 @@ type HeteroEngine struct {
 	// MinShare, Alpha tune the adaptive estimator (0 = package defaults).
 	MinShare float64
 	Alpha    float64
-	// GPUStretch multiplies the modeled GPU epoch time — a chaos-free
-	// throughput-skew knob for the epochbench split sweep (0 or 1 = none).
-	GPUStretch float64
 	// MergeUnits prices the end-of-epoch merge; SecPerUnit converts units
 	// to modeled seconds. Zero values take the package defaults.
 	MergeUnits float64
@@ -217,9 +214,6 @@ func (e *HeteroEngine) prepare() {
 	}
 	if e.Alpha <= 0 {
 		e.Alpha = DefaultHeteroAlpha
-	}
-	if e.GPUStretch <= 0 {
-		e.GPUStretch = 1
 	}
 	if e.MergeUnits <= 0 {
 		e.MergeUnits = DefaultHeteroMergeUnits
@@ -397,9 +391,7 @@ func (e *HeteroEngine) RunEpoch(w []float64) float64 {
 	wg.Wait()
 
 	// Price the two sides. The GPU straggler factor stretches the whole
-	// kernel time, launch included, exactly as GPUHogwildEngine models it;
-	// GPUStretch is the bench harness's chaos-free skew on top.
-	gpuSec *= e.GPUStretch
+	// kernel time, launch included, exactly as GPUHogwildEngine models it.
 	if chaosOn && gpuN > 0 {
 		gpuSec *= e.streams[0].Cost()
 	}

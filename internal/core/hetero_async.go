@@ -61,9 +61,6 @@ type HeteroAsyncEngine struct {
 	// SecPerUnit converts virtual units to modeled seconds.
 	MergeUnits float64
 	SecPerUnit float64
-	// GPUStretch multiplies the GPU's modeled per-batch time — the same
-	// chaos-free skew knob the sync engine exposes for the bench sweep.
-	GPUStretch float64
 	// Rec receives phase timings (gradient = compute, update = blends),
 	// the hetero batch/merge/staleness counters, and the realised share.
 	Rec obs.Recorder
@@ -144,9 +141,6 @@ func (e *HeteroAsyncEngine) prepare() {
 	}
 	if e.SecPerUnit <= 0 {
 		e.SecPerUnit = DefaultLocalSecPerUnit
-	}
-	if e.GPUStretch <= 0 {
-		e.GPUStretch = 1
 	}
 	if e.MaxWarps <= 0 {
 		e.MaxWarps = OccupancyForN(e.Dev, n)
@@ -282,7 +276,7 @@ func (e *HeteroAsyncEngine) RunEpoch(w []float64) float64 {
 				e.wGPU[idx] += delta
 			})
 			e.stats = st
-			sec := st.Cost.Seconds * e.GPUStretch
+			sec := st.Cost.Seconds
 			if gpuStream != nil {
 				sec *= gpuStream.Cost()
 			}

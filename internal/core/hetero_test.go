@@ -194,6 +194,7 @@ func TestHeteroAdaptiveShiftsUnderGPUStraggler(t *testing.T) {
 		lastSec = adaptive.RunEpoch(w)
 		cpuB, gpuB := adaptive.LastSplit()
 		frac := float64(gpuB) / float64(cpuB+gpuB)
+		t.Logf("epoch %d: adaptive GPU batch fraction %.2f, modeled %.4g s", ep+1, frac, lastSec)
 		if ep == 0 {
 			firstSplitGPU = frac
 		}
@@ -215,6 +216,7 @@ func TestHeteroAdaptiveShiftsUnderGPUStraggler(t *testing.T) {
 	for ep := 0; ep < 5; ep++ {
 		staticSec = static.RunEpoch(ws)
 	}
+	t.Logf("epoch 5 modeled s/epoch: adaptive %.4g vs static 50/50 %.4g", lastSec, staticSec)
 	if lastSec >= staticSec {
 		t.Fatalf("adaptive epoch under straggler (%g s) did not beat the static 50/50 split (%g s)",
 			lastSec, staticSec)
@@ -231,7 +233,7 @@ func TestHeteroAdaptiveShareStaysBounded(t *testing.T) {
 	e.SetShuffleSeed(1)
 	w := m.InitParams(1)
 	for ep := 0; ep < 6; ep++ {
-		e.RunEpoch(w)
+		sec := e.RunEpoch(w)
 		s := e.GPUShare()
 		if s < e.MinShare || s > 1-e.MinShare {
 			t.Fatalf("epoch %d: share %v escaped [%v, %v]", ep, s, e.MinShare, 1-e.MinShare)
@@ -240,6 +242,8 @@ func TestHeteroAdaptiveShareStaysBounded(t *testing.T) {
 		if cpuB == 0 || gpuB == 0 {
 			t.Fatalf("epoch %d: healthy adaptive run starved a backend (%d/%d)", ep, cpuB, gpuB)
 		}
+		t.Logf("epoch %d: healthy GPU batch fraction %.2f, modeled %.4g s",
+			ep+1, float64(gpuB)/float64(cpuB+gpuB), sec)
 	}
 }
 

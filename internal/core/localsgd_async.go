@@ -33,7 +33,7 @@ import (
 // replicas, the local steps taken since the replica last adopted a published
 // average (CounterLocalStalenessSum); the firing count is
 // CounterLocalRounds. Larger H buys fewer reductions at more drift —
-// the statistical half of the frontier cmd/epochbench sweeps.
+// the statistical half of the H frontier (DESIGN §16).
 type AsyncLocalSGDEngine struct {
 	Model model.Model
 	Data  *data.Dataset

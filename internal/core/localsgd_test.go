@@ -189,7 +189,7 @@ func TestAsyncLocalSGDSeedsDiffer(t *testing.T) {
 
 // The modeled epoch time must fall monotonically as H grows at fixed K:
 // fewer reduction rounds on the critical path — the hardware-efficiency half
-// of the frontier cmd/epochbench records.
+// of the Local-SGD frontier (the logged rows are DESIGN §16's H-sweep).
 func TestLocalSyncEpochTimeDecreasesWithH(t *testing.T) {
 	ds, _ := smallDataset(t, "w8a", 400)
 	m := model.NewLR(ds.D())
@@ -198,6 +198,7 @@ func TestLocalSyncEpochTimeDecreasesWithH(t *testing.T) {
 		e := NewLocalSGD(m, ds, 0.5, 8, h)
 		w := m.InitParams(1)
 		sec := e.RunEpoch(w)
+		t.Logf("K=8 H=%-2d modeled %.4g s/epoch", h, sec)
 		if prev > 0 && sec >= prev {
 			t.Fatalf("H=%d: modeled epoch %g s >= H-previous %g s; want strictly decreasing", h, sec, prev)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/race"
 )
 
 // relClose reports |a-b| <= tol*max(|a|,|b|).
@@ -36,10 +37,22 @@ func runInstrumented(t *testing.T, e Engine, w []float64, nEpochs int) obs.RunSt
 	return runs[0]
 }
 
+// sharedModelThreads is the thread count of a Hogwild test on overlapping
+// supports. Concurrent Hogwild there mixes plain gradient reads with
+// concurrent component writes — racy by design — so under -race the
+// single-threaded engine runs instead; the detector's coverage of the
+// concurrent path is TestStripedConcurrentEpochRace on disjoint supports.
+func sharedModelThreads() int {
+	if race.Enabled {
+		return 1
+	}
+	return 2
+}
+
 func TestHogwildRecordsPhasesAndWorkerCounters(t *testing.T) {
 	ds, _ := smallDataset(t, "w8a", 400)
 	m := model.NewLR(ds.D())
-	e := NewHogwild(m, ds, 0.5, 2)
+	e := NewHogwild(m, ds, 0.5, sharedModelThreads())
 	w := m.InitParams(1)
 	const epochs = 3
 	r := runInstrumented(t, e, w, epochs)
@@ -75,7 +88,7 @@ func TestHogwildRecordsPhasesAndWorkerCounters(t *testing.T) {
 func TestHogwildCASRetryCounterMatchesUpdater(t *testing.T) {
 	ds, _ := smallDataset(t, "covtype", 300)
 	m := model.NewLR(ds.D())
-	e := NewHogwild(m, ds, 0.5, 2)
+	e := NewHogwild(m, ds, 0.5, sharedModelThreads())
 	upd := &model.CountingAtomicUpdater{}
 	e.Updater = upd
 	w := m.InitParams(1)

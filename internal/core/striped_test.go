@@ -9,6 +9,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/race"
 )
 
 // forceProcs pins GOMAXPROCS so a Threads=n Hogwild engine actually takes
@@ -50,7 +51,7 @@ func TestStripedSequentialDeterministic(t *testing.T) {
 func TestStripedHogwildConverges(t *testing.T) {
 	forceProcs(t, 4)
 	for _, threads := range []int{1, 4} {
-		if threads > 1 && raceDetectorEnabled {
+		if threads > 1 && race.Enabled {
 			// Concurrent Hogwild over overlapping supports mixes plain
 			// gradient reads with concurrent component writes — racy by
 			// design; the -race coverage of the striped concurrent path is
@@ -103,12 +104,14 @@ func TestStripedNoUpdateOutlivesEpoch(t *testing.T) {
 }
 
 // TestStripedCountersReachRecorder: the per-epoch stripe deltas land on the
-// obs counters.
+// obs counters, the default window coalesces a real share of w8a's hot
+// columns, and the warm striped epoch allocates nothing.
 func TestStripedCountersReachRecorder(t *testing.T) {
 	ds, _ := smallDataset(t, "w8a", 200)
 	m := model.NewLR(ds.D())
 	e := NewHogwild(m, ds, 0.3, 1)
-	e.StripeWindow = 64
+	e.Updater = &model.CountingAtomicUpdater{}
+	e.StripeWindow = model.DefaultStripeWindow
 	w := m.InitParams(1)
 	r := runInstrumented(t, e, w, 2)
 	if r.Counter(obs.CounterStripeFlushes) == 0 {
@@ -117,10 +120,25 @@ func TestStripedCountersReachRecorder(t *testing.T) {
 	if r.Counter(obs.CounterStripeCoalesced) == 0 {
 		t.Error("stripe_coalesced counter not recorded")
 	}
-	flushes, coalesced, _ := e.StripeCounters()
+	flushes, coalesced, applied := e.StripeCounters()
 	if r.Counter(obs.CounterStripeFlushes) != flushes || r.Counter(obs.CounterStripeCoalesced) != coalesced {
 		t.Errorf("recorded %d/%d != engine counters %d/%d",
 			r.Counter(obs.CounterStripeFlushes), r.Counter(obs.CounterStripeCoalesced), flushes, coalesced)
+	}
+	// The coalesced fraction is a function of the dataset's hot columns and
+	// the window only, so the floor holds on any host: at least 5% of the
+	// component updates must merge into an earlier one of the same window.
+	if frac := float64(coalesced) / float64(coalesced+applied); frac < 0.05 {
+		t.Errorf("coalesced fraction %.3f < 0.05 (%d of %d updates)", frac, coalesced, coalesced+applied)
+	}
+	// It must be the sequential engine: AllocsPerRun pins GOMAXPROCS to 1,
+	// which would push a multi-thread engine onto the emulated path (which
+	// ignores striping) and measure the wrong thing. The sequential engine
+	// runs the same StripeBuffer Add/Flush hot loop; the concurrent dispatch
+	// around it is pinned alloc-free by internal/pool's tests.
+	Instrument(e, nil)
+	if allocs := testing.AllocsPerRun(3, func() { e.RunEpoch(w) }); allocs != 0 {
+		t.Errorf("warm striped epoch allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // nothing; it exists to score batches as fast as the host allows.
 //
 // It also carries SpMVFloat, an identically-structured (same dispatch, same
-// two-way-unrolled inner loop) float64 kernel, so the bench gate's
-// quantised-vs-float comparison isolates the int8 memory-locality win from
-// any difference in loop shape or parallelism.
+// two-way-unrolled inner loop) float64 kernel, so the system benchmark's
+// quantised-vs-float comparison (linalg.float_score_ms / int8_score_ms)
+// isolates the int8 memory-locality effect from any difference in loop
+// shape or parallelism.
 //
 // A kernel is a single-caller object (the serve dispatcher owns one); it
 // keeps pre-bound task values and a reusable partition buffer, so the

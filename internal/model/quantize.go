@@ -122,9 +122,9 @@ func (qw *QuantizedWeights) MaxScale() float64 {
 
 // RowDot computes row_i(x) · dequant(qw) — the quantised sparse dot that
 // backs QuantScore and the int8 SpMV kernel in internal/linalg. The loop is
-// two-way unrolled with independent accumulators; the bench gate compares it
-// against an identically-unrolled float64 kernel (linalg.Int8Kernel) so the
-// measured speedup is a memory-locality effect, not an unrolling artifact.
+// two-way unrolled with independent accumulators; the system benchmark times
+// it against an identically-unrolled float64 kernel (linalg.Int8Kernel) so
+// the measured ratio is a memory-locality effect, not an unrolling artifact.
 func (qw *QuantizedWeights) RowDot(x *sparse.CSR, i int) float64 {
 	cols, vals := x.Row(i)
 	q, scales := qw.Q, qw.Scales

@@ -18,9 +18,6 @@
 //     same tolerance-band treatment the source paper applies to its
 //     convergence figures, and it remains valid on hosts with enough cores
 //     for the Hogwild races to be genuinely nondeterministic.
-//
-// The harness also contains the noise-aware performance gate that diffs a
-// fresh cmd/epochbench report against the committed baseline (see bench.go).
 package regress
 
 import (

@@ -31,8 +31,8 @@ type Snapshot struct {
 	// snapshots keep the epoch they were exported at).
 	Epoch int `json:"epoch,omitempty"`
 	// Fingerprint identifies the training configuration that produced the
-	// weights, in the same core.Fingerprint discipline the regression and
-	// bench gates use: reports are only comparable between equal keys.
+	// weights, in the same core.Fingerprint discipline the regression
+	// gates use: reports are only comparable between equal keys.
 	Fingerprint core.Fingerprint `json:"fingerprint"`
 	// PublishedUnixNano is the host wall-clock publish instant.
 	PublishedUnixNano int64 `json:"published_unix_nano,omitempty"`

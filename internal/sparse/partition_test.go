@@ -128,6 +128,12 @@ func TestPartitionNNZBalancesHeavyTail(t *testing.T) {
 	if maxBalanced >= maxEven {
 		t.Fatalf("balanced critical path %d not better than even chunking %d", maxBalanced, maxEven)
 	}
+	// ...and stay within 15% of the ideal equal share, the skew bound the
+	// parallel kernels' scaling rests on.
+	if ideal := float64(m.NNZ()) / float64(parts); float64(maxBalanced) > 1.15*ideal {
+		t.Fatalf("balanced critical path %d is %.3fx the ideal share %.0f, want <= 1.15x",
+			maxBalanced, float64(maxBalanced)/ideal, ideal)
+	}
 }
 
 func TestPartitionRowsNNZProperty(t *testing.T) {
