@@ -143,3 +143,4 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/data
 	$(GO) test -fuzz FuzzCSRBuilder -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/sparse
+	$(GO) test -fuzz FuzzPSFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/ps

@@ -222,8 +222,9 @@ func TestEngineStormContrast(t *testing.T) {
 	}
 }
 
-// TestEngineOverHTTP runs a full training epoch with every worker dialing
-// the server through the real HTTP transport.
+// TestEngineOverHTTP runs a full training epoch with the racing async workers
+// sharing one HTTPTransport (as the benchmark dials it) against the real HTTP
+// server.
 func TestEngineOverHTTP(t *testing.T) {
 	ds := psDataset(t, 120)
 	m := model.NewLR(ds.D())
@@ -232,9 +233,8 @@ func TestEngineOverHTTP(t *testing.T) {
 	hs := NewHTTPServer(e.Server())
 	ts := httptest.NewServer(hs.Handler())
 	defer ts.Close()
-	e.Dial = func(int) Transport {
-		return &HTTPTransport{BaseURL: ts.URL, Client: ts.Client()}
-	}
+	tr := &HTTPTransport{BaseURL: ts.URL, Client: ts.Client()}
+	e.Dial = func(int) Transport { return tr }
 	w := m.InitParams(1)
 	init := meanLoss(m, w, ds)
 	for i := 0; i < 3; i++ {
@@ -245,6 +245,37 @@ func TestEngineOverHTTP(t *testing.T) {
 	}
 	if st := e.Server().StatsSnapshot(); st.Versions[0] == 0 {
 		t.Fatal("no pushes landed on the server over HTTP")
+	}
+}
+
+// TestEngineSyncHTTPMatchesChan: the transport carries the arithmetic without
+// touching it — two barriered epochs over the HTTP frames leave the weights
+// bit-equal to the same epochs over the channel transport, with the same
+// traffic counted at the server.
+func TestEngineSyncHTTPMatchesChan(t *testing.T) {
+	ds := psDataset(t, 200)
+	run := func(overHTTP bool) ([]float64, *countRec) {
+		e, m := newTestEngine(t, ModeSync, ds, 0.5)
+		rec := newCountRec()
+		e.SetRecorder(rec)
+		if overHTTP {
+			ts := httptest.NewServer(NewHTTPServer(e.Server()).Handler())
+			defer ts.Close()
+			tr := &HTTPTransport{BaseURL: ts.URL, Client: ts.Client()}
+			e.Dial = func(int) Transport { return tr }
+		}
+		w, _ := runEpochs(e, m, 2)
+		return w, rec
+	}
+	wChan, recChan := run(false)
+	wHTTP, recHTTP := run(true)
+	if !sameBits(wChan, wHTTP) {
+		t.Fatalf("weights differ across transports:\nchan %v\nhttp %v", wChan, wHTTP)
+	}
+	for _, c := range []obs.Counter{obs.CounterPSPulls, obs.CounterPSPushes} {
+		if recChan.counts[c] == 0 || recChan.counts[c] != recHTTP.counts[c] {
+			t.Fatalf("%v: %d over chan, %d over HTTP", c, recChan.counts[c], recHTTP.counts[c])
+		}
 	}
 }
 

@@ -5,23 +5,52 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
 )
 
-// HTTPServer is the HTTP/JSON transport over a Server, built on the same
+// Deadlines and bounds of the HTTP pair. They are constants: the tier has one
+// deployment shape (loopback or a LAN), and a hung peer must cost a worker
+// seconds, not forever.
+const (
+	frameContentType = "application/octet-stream"
+
+	serverReadHeaderTimeout = 10 * time.Second
+	serverReadTimeout       = 30 * time.Second
+	serverWriteTimeout      = 30 * time.Second
+	serverIdleTimeout       = 2 * time.Minute
+	serverMaxHeaderBytes    = 16 << 10
+
+	// clientTimeout bounds one attempt of the fallback client, body included.
+	clientTimeout = 10 * time.Second
+	// maxRetries is how many times a call is re-sent after a transport error
+	// or a damaged reply frame; retryBackoff doubles per retry, jittered over
+	// its upper half.
+	maxRetries   = 2
+	retryBackoff = 2 * time.Millisecond
+	// maxErrorBody bounds the client's read of a non-200 JSON error body.
+	maxErrorBody = 4 << 10
+)
+
+// HTTPServer is the HTTP transport over a Server, built on the same
 // net/http plumbing as internal/serve so the ps tier answers real sockets:
 //
-//	GET  /pull?shard=K   PullReply for shard K
-//	POST /push           PushRequest body -> PushReply
-//	GET  /stats          Stats snapshot
+//	GET  /pull?shard=K   PullReply frame for shard K
+//	POST /push           PushRequest frame -> PushReply frame
+//	GET  /stats          Stats snapshot (JSON)
 //
-// Malformed shard/worker/gradient inputs surface as HTTP 400 with a JSON
-// error body. Admin operations (Load, Snapshot, CloseRound, Drain) stay on
-// the *Server — they belong to whoever owns the training loop, not to the
-// workers on the wire.
+// /pull and /push speak the one binary frame of frame.go. Malformed frames
+// and shard/worker/gradient inputs surface as HTTP 400 with a JSON error
+// body (errors are for people to read). Admin operations (Load, Snapshot,
+// CloseRound, Drain) stay on the *Server — they belong to whoever owns the
+// training loop, not to the workers on the wire.
 type HTTPServer struct {
 	srv     *Server
 	httpSrv *http.Server
@@ -41,15 +70,16 @@ func (h *HTTPServer) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
 func writeError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+}
+
+func writeFrame(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", frameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
 }
 
 func (h *HTTPServer) handlePull(w http.ResponseWriter, r *http.Request) {
@@ -62,12 +92,13 @@ func (h *HTTPServer) handlePull(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("ps: bad shard query: %v", err))
 		return
 	}
-	rep, err := h.srv.Pull(shard)
-	if err != nil {
+	buf := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(buf)
+	if buf.b, err = h.srv.appendPull(buf.b[:0], shard); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, rep)
+	writeFrame(w, buf.b)
 }
 
 func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
@@ -75,10 +106,19 @@ func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req PushRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err := dec.Decode(&req); err != nil {
+	buf := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(buf)
+	var err error
+	if buf.b, err = readFrame(buf.b[:0], r.Body); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("ps: bad push body: %v", err))
+		return
+	}
+	// Server.Push does not keep req.Grad, so the pooled floats back it.
+	req := PushRequest{Grad: buf.f}
+	err = decodePushRequest(buf.b, &req)
+	buf.f = req.Grad
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	rep, err := h.srv.Push(req)
@@ -86,11 +126,13 @@ func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, rep)
+	buf.b = appendPushReply(buf.b[:0], rep)
+	writeFrame(w, buf.b)
 }
 
 func (h *HTTPServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, h.srv.StatsSnapshot())
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(h.srv.StatsSnapshot())
 }
 
 // Start listens on addr (":0" picks a free port) and serves in the
@@ -101,7 +143,14 @@ func (h *HTTPServer) Start(addr string) (string, error) {
 		return "", err
 	}
 	h.ln = ln
-	h.httpSrv = &http.Server{Handler: h.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	h.httpSrv = &http.Server{
+		Handler:           h.Handler(),
+		ReadHeaderTimeout: serverReadHeaderTimeout,
+		ReadTimeout:       serverReadTimeout,
+		WriteTimeout:      serverWriteTimeout,
+		IdleTimeout:       serverIdleTimeout,
+		MaxHeaderBytes:    serverMaxHeaderBytes,
+	}
 	go h.httpSrv.Serve(ln) //nolint:errcheck // Shutdown's ErrServerClosed
 	return ln.Addr().String(), nil
 }
@@ -115,45 +164,116 @@ func (h *HTTPServer) Shutdown(ctx context.Context) error {
 }
 
 // HTTPTransport is the worker-side client of HTTPServer: a Transport that
-// speaks the JSON wire format against a base URL. One instance per worker
-// (the Transport contract); instances may share the http.Client.
+// speaks the binary frame against a base URL, retrying a call whose bytes
+// were lost or damaged in flight (pushes are idempotent by Seq). It is safe
+// for concurrent use, so workers may share one instance and its http.Client.
 type HTTPTransport struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:7070".
 	BaseURL string
-	// Client defaults to http.DefaultClient.
+	// Client defaults to a package client with a per-attempt timeout.
 	Client *http.Client
+
+	routes atomic.Pointer[routes] // BaseURL, parsed once
 }
+
+// routes is a BaseURL resolved to the two endpoints.
+type routes struct {
+	base       string
+	pull, push url.URL
+}
+
+var defaultClient = &http.Client{Timeout: clientTimeout}
 
 func (t *HTTPTransport) client() *http.Client {
 	if t.Client != nil {
 		return t.Client
 	}
-	return http.DefaultClient
+	return defaultClient
 }
 
-// decode reads a JSON success body or surfaces the server's error payload.
-func decode(resp *http.Response, v any) error {
+func (t *HTTPTransport) endpoints() (*routes, error) {
+	if r := t.routes.Load(); r != nil && r.base == t.BaseURL {
+		return r, nil
+	}
+	u, err := url.Parse(t.BaseURL)
+	if err != nil {
+		return nil, fmt.Errorf("ps: bad BaseURL: %w", err)
+	}
+	r := &routes{base: t.BaseURL, pull: *u, push: *u}
+	root := strings.TrimSuffix(u.Path, "/")
+	r.pull.Path, r.push.Path = root+"/pull", root+"/push"
+	t.routes.Store(r)
+	return r, nil
+}
+
+// call runs one exchange under the retry rule: a transport error or a reply
+// frame that fails its own checks is re-sent, from the same encoded bytes, at
+// most maxRetries times; an HTTP status error is the server's verdict and is
+// returned at once. decode is handed the reply body and must copy out what it
+// keeps. call owns out (nil for a GET): net/http may read a request body until
+// the response body is closed, and past a transport error nothing says when
+// it stopped, so out goes back to the pool only when the first attempt
+// succeeded.
+func (t *HTTPTransport) call(method string, u *url.URL, out *wireBuf, decode func([]byte) error) error {
+	var body []byte
+	if out != nil {
+		body = out.b
+	}
+	in := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(in)
+	for attempt := 0; ; attempt++ {
+		retry, err := t.attempt(method, u, body, in, decode)
+		if err == nil && attempt == 0 && out != nil {
+			wirePool.Put(out)
+		}
+		if !retry || attempt == maxRetries {
+			return err
+		}
+		half := int64(retryBackoff) << attempt / 2
+		time.Sleep(time.Duration(half + rand.Int63n(half)))
+	}
+}
+
+// attempt is one request and its response; retry reports a failure the
+// server did not decide: the connection's, or a damaged reply frame.
+func (t *HTTPTransport) attempt(method string, u *url.URL, body []byte, in *wireBuf, decode func([]byte) error) (retry bool, err error) {
+	req := &http.Request{Method: method, URL: u, Header: http.Header{}}
+	if body != nil {
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.ContentLength = int64(len(body))
+		req.Header.Set("Content-Type", frameContentType)
+	}
+	resp, err := t.client().Do(req)
+	if err != nil {
+		return true, err
+	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("ps: server: %s", e.Error)
+		if json.NewDecoder(io.LimitReader(resp.Body, maxErrorBody)).Decode(&e) == nil && e.Error != "" {
+			return false, fmt.Errorf("ps: server: %s", e.Error)
 		}
-		return fmt.Errorf("ps: server returned %s", resp.Status)
+		return false, fmt.Errorf("ps: server returned %s", resp.Status)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	if in.b, err = readFrame(in.b[:0], resp.Body); err != nil {
+		return true, err
+	}
+	err = decode(in.b)
+	return err != nil, err
 }
 
 // Pull implements Transport.
 func (t *HTTPTransport) Pull(shard int) (PullReply, error) {
-	resp, err := t.client().Get(fmt.Sprintf("%s/pull?shard=%d", t.BaseURL, shard))
+	r, err := t.endpoints()
 	if err != nil {
 		return PullReply{}, err
 	}
+	u := r.pull
+	u.RawQuery = "shard=" + strconv.Itoa(shard)
 	var rep PullReply
-	if err := decode(resp, &rep); err != nil {
+	if err := t.call(http.MethodGet, &u, nil, func(b []byte) error { return decodePullReply(b, &rep) }); err != nil {
 		return PullReply{}, err
 	}
 	return rep, nil
@@ -161,17 +281,16 @@ func (t *HTTPTransport) Pull(shard int) (PullReply, error) {
 
 // Push implements Transport.
 func (t *HTTPTransport) Push(req PushRequest) (PushReply, error) {
-	body, err := json.Marshal(req)
+	r, err := t.endpoints()
 	if err != nil {
 		return PushReply{}, err
 	}
-	resp, err := t.client().Post(t.BaseURL+"/push", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return PushReply{}, err
-	}
+	out := wirePool.Get().(*wireBuf)
+	out.b = appendPushRequest(out.b[:0], &req)
 	var rep PushReply
-	if err := decode(resp, &rep); err != nil {
-		return PushReply{}, err
-	}
-	return rep, nil
+	err = t.call(http.MethodPost, &r.push, out, func(b []byte) (err error) {
+		rep, err = decodePushReply(b)
+		return err
+	})
+	return rep, err
 }

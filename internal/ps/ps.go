@@ -22,11 +22,11 @@
 //
 // Transports: ChanTransport carries pull/push over in-process channels (one
 // dispatcher goroutine per server, a real queue rather than a function
-// call), HTTPTransport speaks JSON over HTTP against Handler (the same
-// net/http plumbing as internal/serve, so cmd/sgdload-scale traffic
-// applies), and FaultTransport threads an internal/chaos plan through any
-// base transport: straggler latency stretch, whole-round link partitions,
-// dropped and duplicated pushes. Duplicates are deduplicated server-side by
+// call), HTTPTransport speaks checksummed binary float64 frames over HTTP
+// against Handler (frame.go; deadlines and a bounded retry on the client),
+// and FaultTransport threads an internal/chaos plan through any base
+// transport: straggler latency stretch, whole-round link partitions, dropped
+// and duplicated pushes. Duplicates are deduplicated server-side by
 // per-worker sequence number, so a retransmitted push is idempotent.
 //
 // Engine drives the tier as one more core.Engine configuration (ps-sync /
@@ -117,39 +117,39 @@ func (s Sharding) ShardOf(i int) int {
 // reflects. Version is the count of updates applied to the shard; a worker
 // echoes it back as PushRequest.Basis so the server can measure staleness.
 type PullReply struct {
-	Shard   int       `json:"shard"`
-	Version int64     `json:"version"`
-	Params  []float64 `json:"params"`
+	Shard   int
+	Version int64
+	Params  []float64
 }
 
 // PushRequest is one worker's gradient contribution for one shard: the sum
 // of per-example gradients over Count examples, restricted to the shard's
 // component range.
 type PushRequest struct {
-	Shard  int `json:"shard"`
-	Worker int `json:"worker"`
+	Shard  int
+	Worker int
 	// Seq is the worker's monotonic push sequence number; the server
 	// discards a push whose Seq it has already seen from this worker on
 	// this shard, making retransmitted (duplicated) pushes idempotent.
-	Seq int64 `json:"seq"`
+	Seq int64
 	// Basis is the shard version the gradient was computed against (from
 	// the matching PullReply, or the worker's cache when partitioned).
-	Basis int64 `json:"basis"`
+	Basis int64
 	// Count is how many example gradients Grad sums.
-	Count int       `json:"count"`
-	Grad  []float64 `json:"grad"`
+	Count int
+	Grad  []float64
 }
 
 // PushReply reports what the server did with a push.
 type PushReply struct {
 	// Applied is false when the push was a duplicate (async and sync) —
 	// lost pushes never reach the server at all.
-	Applied bool `json:"applied"`
+	Applied bool
 	// Duplicate marks a sequence number already seen (idempotent discard).
-	Duplicate bool `json:"duplicate"`
+	Duplicate bool
 	// Staleness is version-at-arrival minus Basis: how many updates landed
 	// on the shard between the worker's pull and this push.
-	Staleness int64 `json:"staleness"`
+	Staleness int64
 	// Version is the shard version after the push was handled.
-	Version int64 `json:"version"`
+	Version int64
 }

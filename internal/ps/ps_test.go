@@ -194,6 +194,41 @@ func TestServerDuplicatePushIdempotent(t *testing.T) {
 	}
 }
 
+// TestServerRefusesNonFiniteGradient: a gradient with a NaN or Inf component
+// never reaches the accumulator or the model in either mode, does not advance
+// the dedupe horizon (the worker may re-send the same Seq repaired), and is
+// counted.
+func TestServerRefusesNonFiniteGradient(t *testing.T) {
+	for _, mode := range []Mode{ModeAsync, ModeSync} {
+		sh, _ := NewSharding(8, 1)
+		srv := NewServer(mode, sh, 0.5, 1)
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			grad := []float64{2, 0, 0, bad, 0, 0, 0, 0}
+			if rep, err := srv.Push(PushRequest{Shard: 0, Worker: 0, Seq: 1, Count: 1, Grad: grad}); err == nil || rep.Applied {
+				t.Fatalf("mode %s: push carrying %g returned %+v, %v; want a refusal", mode, bad, rep, err)
+			}
+		}
+		if st := srv.StatsSnapshot(); st.Rejected != 3 || st.Pushes != 0 || st.Duplicates != 0 {
+			t.Fatalf("mode %s: stats = %+v, want 3 rejected and nothing else", mode, st)
+		}
+		// Same Seq, finite this time: accepted, so the horizon had not moved.
+		rep, err := srv.Push(PushRequest{Shard: 0, Worker: 0, Seq: 1, Count: 1, Grad: []float64{2, 0, 0, 0, 0, 0, 0, 0}})
+		if err != nil || !rep.Applied {
+			t.Fatalf("mode %s: finite push after the refusals = %+v, %v", mode, rep, err)
+		}
+		if mode == ModeSync {
+			if _, err := srv.CloseRound(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var w [8]float64
+		srv.Snapshot(w[:])
+		if want := [8]float64{-1}; w != want {
+			t.Fatalf("mode %s: model = %v, want only the finite push applied (%v)", mode, w, want)
+		}
+	}
+}
+
 // TestServerRejectsMalformedTraffic checks the validation paths workers
 // and the HTTP layer rely on.
 func TestServerRejectsMalformedTraffic(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/tensor"
 )
 
 // Mode selects the server's aggregation discipline.
@@ -47,6 +48,7 @@ type shardState struct {
 	accN    int       // examples accumulated this round
 
 	pulls, pushes, dups   int64
+	rejected              int64
 	stalePushes, staleSum int64
 }
 
@@ -136,11 +138,28 @@ func (s *Server) Pull(shard int) (PullReply, error) {
 	return PullReply{Shard: shard, Version: v, Params: out}, nil
 }
 
+// appendPull is Pull for the HTTP handler: it appends the reply's wire frame
+// to dst straight from the shard under its lock, skipping Pull's copy.
+func (s *Server) appendPull(dst []byte, shard int) ([]byte, error) {
+	if shard < 0 || shard >= s.sh.NumShards() {
+		return dst, fmt.Errorf("ps: pull of shard %d outside [0,%d)", shard, s.sh.NumShards())
+	}
+	lo, hi := s.sh.Range(shard)
+	st := &s.shards[shard]
+	st.mu.Lock()
+	dst = appendPullReply(dst, shard, st.version, s.params[lo:hi])
+	st.pulls++
+	st.mu.Unlock()
+	return dst, nil
+}
+
 // Push lands one gradient contribution. Duplicates (a Seq at or below the
 // worker's dedupe horizon) are discarded idempotently. In async mode the
 // update applies immediately: params -= step * grad/count, version++;
 // staleness (version at arrival minus Basis) is tallied. In sync mode the
-// gradient joins the round accumulator and applies at CloseRound.
+// gradient joins the round accumulator and applies at CloseRound. A gradient
+// with a NaN or Inf component is refused whole: nothing is accumulated or
+// applied, the dedupe horizon does not move, and Stats.Rejected counts it.
 func (s *Server) Push(req PushRequest) (PushReply, error) {
 	if req.Shard < 0 || req.Shard >= s.sh.NumShards() {
 		return PushReply{}, fmt.Errorf("ps: push to shard %d outside [0,%d)", req.Shard, s.sh.NumShards())
@@ -155,9 +174,14 @@ func (s *Server) Push(req PushRequest) (PushReply, error) {
 	if req.Count < 1 {
 		return PushReply{}, fmt.Errorf("ps: push summing %d examples", req.Count)
 	}
+	finite := tensor.AllFinite(req.Grad)
 	st := &s.shards[req.Shard]
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if !finite {
+		st.rejected++
+		return PushReply{}, fmt.Errorf("ps: push of a non-finite gradient to shard %d refused", req.Shard)
+	}
 	if req.Seq <= st.lastSeq[req.Worker] {
 		st.dups++
 		return PushReply{Duplicate: true, Version: st.version}, nil
@@ -226,13 +250,15 @@ func (s *Server) CloseRound(roundN int) (missing int64, err error) {
 
 // Stats is a point-in-time snapshot of the server's tallies, summed over
 // shards. Pushes counts applied contributions only; Duplicates counts
-// sequence numbers discarded by the dedupe horizon.
+// sequence numbers discarded by the dedupe horizon; Rejected counts pushes
+// refused for a non-finite gradient.
 type Stats struct {
 	Mode         Mode    `json:"mode"`
 	Shards       int     `json:"shards"`
 	Pulls        int64   `json:"pulls"`
 	Pushes       int64   `json:"pushes"`
 	Duplicates   int64   `json:"duplicates"`
+	Rejected     int64   `json:"rejected"`
 	StalePushes  int64   `json:"stale_pushes"`
 	StalenessSum int64   `json:"staleness_sum"`
 	Versions     []int64 `json:"versions"`
@@ -247,6 +273,7 @@ func (s *Server) StatsSnapshot() Stats {
 		out.Pulls += st.pulls
 		out.Pushes += st.pushes
 		out.Duplicates += st.dups
+		out.Rejected += st.rejected
 		out.StalePushes += st.stalePushes
 		out.StalenessSum += st.staleSum
 		out.Versions[k] = st.version
@@ -267,7 +294,7 @@ func (s *Server) Drain(rec obs.Recorder) {
 		pushes += st.pushes
 		stale += st.stalePushes
 		staleSum += st.staleSum
-		st.pulls, st.pushes, st.dups, st.stalePushes, st.staleSum = 0, 0, 0, 0, 0
+		st.pulls, st.pushes, st.dups, st.rejected, st.stalePushes, st.staleSum = 0, 0, 0, 0, 0, 0
 		st.mu.Unlock()
 	}
 	if pulls > 0 {

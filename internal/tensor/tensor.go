@@ -380,7 +380,9 @@ func Log1pExp(v float64) float64 {
 // AllFinite reports whether every element of x is finite.
 func AllFinite(x []float64) bool {
 	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		// v-v is 0 for every finite v and NaN for NaN and ±Inf: one
+		// subtract-and-compare per element, half the cost of IsNaN||IsInf.
+		if v-v != 0 {
 			return false
 		}
 	}
