@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint cover bench bench-paper bench-selftest gate gate-update chaos fuzz mdcheck serve-smoke quant-smoke span-smoke ps-smoke localsgd-smoke hetero-smoke
+.PHONY: build test check lint cover bench bench-paper bench-selftest gate gate-update chaos fuzz mdcheck loc serve-smoke quant-smoke span-smoke ps-smoke
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,12 @@ chaos:
 mdcheck:
 	$(GO) run ./cmd/mdcheck .
 
+# loc prints non-test Go lines per package (cat | wc -l, comments and blanks
+# included) — the count every ROADMAP acceptance line quotes.
+loc:
+	@for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) $$d; done
+
 # serve-smoke is the serving A/B gate: train a small LR in-process, drive
 # the production serving stack batched (MaxBatch=64) and unbatched
 # (MaxBatch=1) at equal worker count, and fail unless micro-batching buys
@@ -119,22 +125,6 @@ span-smoke:
 ps-smoke:
 	$(GO) run ./cmd/sgdps -plan storm -assert-contrast 2 \
 		-out $${PS_TMP:-$$(mktemp -t ps-report.XXXXXX.json)}
-
-# localsgd-smoke is the Local-SGD convergence gate: re-run only the two
-# local configs (local-sync against its 1e-9 golden, local-async against its
-# p10-p90 envelope) and fail on any drift. The report goes to a temp path so
-# the run never dirties the tree.
-localsgd-smoke:
-	$(GO) run ./cmd/sgdgate compare -only local- \
-		-report $${LOCALSGD_TMP:-$$(mktemp -t localsgd-gate.XXXXXX.json)}
-
-# hetero-smoke is the heterogeneous CPU+GPU convergence gate: re-run only the
-# two hetero configs (hetero-sync against its 1e-9 golden, hetero-async
-# against its p10-p90 envelope) and fail on any drift. The report goes to a
-# temp path so the run never dirties the tree.
-hetero-smoke:
-	$(GO) run ./cmd/sgdgate compare -only hetero- \
-		-report $${HETERO_TMP:-$$(mktemp -t hetero-gate.XXXXXX.json)}
 
 # fuzz exercises the input-boundary fuzz targets for a bounded time each.
 # The minimize budget is capped: on a small box, minimizing a multi-KB

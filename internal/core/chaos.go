@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/chaos"
+	"repro/internal/data"
 	"repro/internal/model"
 )
 
@@ -24,17 +25,36 @@ func InjectChaos(e Engine, c *chaos.Controller) bool {
 	return false
 }
 
-// applyFate lands one captured update under the injector's verdict: once,
+// fateTimes is how often an update lands under the injector's verdict: once,
 // twice (duplicated), or not at all (dropped).
-func applyFate(f chaos.Fate, u model.Updater, w []float64, capt *captureUpdater) {
-	times := 1
+func fateTimes(f chaos.Fate) int {
 	switch f {
 	case chaos.FateDrop:
-		times = 0
+		return 0
 	case chaos.FateDup:
-		times = 2
+		return 2
 	}
-	for t := 0; t < times; t++ {
+	return 1
+}
+
+// fatedStep takes one SGD step of example i on the private vector w under the
+// stream's verdict — a nil stream is healthy: applied once, at unit cost — and
+// returns the step's virtual-time cost. It is the replica step of the
+// sequencer-driven engines.
+func fatedStep(s *chaos.Stream, m model.Model, ds *data.Dataset, w []float64, i int, step float64, capt *captureUpdater, scr model.Scratch) float64 {
+	cost, fate := 1.0, chaos.FateApply
+	if s != nil {
+		fate, cost = s.Fate(), s.Cost()
+	}
+	capt.reset()
+	m.SGDStep(w, ds, i, step, capt, scr)
+	applyFate(fate, model.RawUpdater{}, w, capt)
+	return cost
+}
+
+// applyFate lands one captured update under the injector's verdict.
+func applyFate(f chaos.Fate, u model.Updater, w []float64, capt *captureUpdater) {
+	for t := fateTimes(f); t > 0; t-- {
 		for k, ix := range capt.idx {
 			u.Add(w, ix, capt.delta[k])
 		}

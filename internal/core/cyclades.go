@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/numa"
@@ -25,7 +23,19 @@ import (
 // examples conflicts, batches degenerate to singletons and the engine
 // degenerates to sequential SGD — the same data-dependence the paper's
 // exploratory axes are about.
+//
+// The shuffle seed decides the order the packing draws examples in, so it
+// takes effect at the first epoch (the schedule is computed once). The
+// recorder receives phase timings (gradient = conflict-free parallel work,
+// barrier = per-batch synchronisation) and the batch/update counts. An
+// enabled chaos controller lands each example's update under an injector fate
+// and stretches the epoch by the *synchronous* slowdown: every conflict-free
+// batch ends in a barrier, so a straggler stalls all of them — Cyclades buys
+// determinism at the price of sync-style fragility, the trade-off the
+// degradation report makes visible.
 type CycladesEngine struct {
+	hooks
+	shuffle
 	Model model.Model
 	Data  *data.Dataset
 	Step  float64
@@ -35,17 +45,7 @@ type CycladesEngine struct {
 	Cost *numa.Model
 	// CostScale inflates modeled work to the full dataset (1 = none).
 	CostScale float64
-	// Rec receives phase timings (gradient = conflict-free parallel work,
-	// barrier = per-batch synchronisation) and the batch/update counts.
-	Rec obs.Recorder
-	// Chaos, when enabled, lands each example's update under an injector
-	// fate and stretches the epoch by the *synchronous* slowdown: every
-	// conflict-free batch ends in a barrier, so a straggler stalls all of
-	// them — Cyclades buys determinism at the price of sync-style
-	// fragility, the trade-off the degradation report makes visible.
-	Chaos *chaos.Controller
 
-	rng     *rand.Rand
 	batches [][]int // conflict-free example batches (computed once)
 	stats   CycladesStats
 }
@@ -63,9 +63,9 @@ type CycladesStats struct {
 // NewCyclades builds the engine with the paper machine's thread count.
 func NewCyclades(m model.Model, ds *data.Dataset, step float64, threads int) *CycladesEngine {
 	return &CycladesEngine{
-		Model: m, Data: ds, Step: step, Threads: threads,
+		shuffle: newShuffle(),
+		Model:   m, Data: ds, Step: step, Threads: threads,
 		Cost: numa.PaperMachine(),
-		rng:  rand.New(rand.NewSource(99)),
 	}
 }
 
@@ -83,12 +83,8 @@ func (e *CycladesEngine) Stats() CycladesStats { return e.stats }
 // dense blocks (MLP upper layers) conflict on every pair, which the greedy
 // packing discovers by itself through the support test.
 func (e *CycladesEngine) schedule() {
-	n := e.Data.N()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	e.rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	e.fill(e.Data.N())
+	e.reshuffle()
 
 	dim := e.Model.NumParams()
 	// claimed[j] == round means component j is already written in the
@@ -97,7 +93,8 @@ func (e *CycladesEngine) schedule() {
 	for j := range claimed {
 		claimed[j] = -1
 	}
-	pending := perm
+	pending := e.perm
+	probe := &supportProbe{}
 	var next []int
 	round := int32(0)
 	var totalLen, singles int
@@ -105,7 +102,7 @@ func (e *CycladesEngine) schedule() {
 		batch := make([]int, 0, len(pending))
 		next = next[:0]
 		for _, i := range pending {
-			if e.tryClaim(i, round, claimed) {
+			if e.tryClaim(i, round, claimed, probe) {
 				batch = append(batch, i)
 			} else {
 				next = append(next, i)
@@ -127,74 +124,48 @@ func (e *CycladesEngine) schedule() {
 	e.stats.SingletonFrac = float64(singles) / float64(len(e.batches))
 }
 
-// tryClaim marks example i's support for the given round; it fails (and
-// rolls back nothing, by the single-pass marking discipline) if any
-// component was already claimed this round.
-func (e *CycladesEngine) tryClaim(i int, round int32, claimed []int32) bool {
-	// First pass: check.
-	conflict := false
-	e.supportWalk(i, func(idx int) bool {
+// tryClaim marks example i's support for the given round; it fails, marking
+// nothing, if any component was already claimed this round.
+func (e *CycladesEngine) tryClaim(i int, round int32, claimed []int32, p *supportProbe) bool {
+	sup := p.support(e.Model, e.Data, i)
+	for _, idx := range sup {
 		if claimed[idx] == round {
-			conflict = true
 			return false
 		}
-		return true
-	})
-	if conflict {
-		return false
 	}
-	// Second pass: claim.
-	e.supportWalk(i, func(idx int) bool {
+	for _, idx := range sup {
 		claimed[idx] = round
-		return true
-	})
+	}
 	return true
 }
 
-// supportWalk visits the model components example i's gradient can write.
-// For the linear models that is the row support; for anything else (MLP,
-// MF) it asks the model for a conservative probe via SGDStep capture with a
-// zero step — cheap because gradients are not applied.
-func (e *CycladesEngine) supportWalk(i int, visit func(idx int) bool) {
-	if e.Model.Name() == "lr" || e.Model.Name() == "svm" {
-		cols, _ := e.Data.X.Row(i)
-		for _, c := range cols {
-			if !visit(int(c)) {
-				return
-			}
-		}
-		return
-	}
-	probe := &supportProbe{visit: visit}
-	scr := e.Model.NewScratch()
-	w := probeParams(e.Model)
-	e.Model.SGDStep(w, e.Data, i, 0, probe, scr)
-}
-
-// supportProbe records touched indices through the Updater interface.
+// supportProbe lists the model components an example's gradient can write.
+// For the linear models that is the row support; for anything else (MLP, MF)
+// it asks the model, by capturing a zero-step SGDStep against zero
+// parameters — whatever the step routes through the Updater is the support,
+// and nothing is applied.
 type supportProbe struct {
-	visit func(idx int) bool
-	done  bool
+	capt captureUpdater
+	zero []float64
+	scr  model.Scratch
 }
 
-// Add implements model.Updater; deltas are ignored (step 0).
-func (p *supportProbe) Add(_ []float64, i int, _ float64) {
-	if p.done {
-		return
+func (p *supportProbe) support(m model.Model, ds *data.Dataset, i int) []int {
+	p.capt.reset()
+	if m.Name() == "lr" || m.Name() == "svm" {
+		cols, _ := ds.X.Row(i)
+		for _, c := range cols {
+			p.capt.idx = append(p.capt.idx, int(c))
+		}
+		return p.capt.idx
 	}
-	if !p.visit(i) {
-		p.done = true
+	if p.zero == nil {
+		p.zero = make([]float64, m.NumParams())
+		p.scr = m.NewScratch()
 	}
+	m.SGDStep(p.zero, ds, i, 0, &p.capt, p.scr)
+	return p.capt.idx
 }
-
-// probeParams returns a zero parameter vector for support probing.
-func probeParams(m model.Model) []float64 { return make([]float64, m.NumParams()) }
-
-// SetRecorder implements Instrumented.
-func (e *CycladesEngine) SetRecorder(r obs.Recorder) { e.Rec = r }
-
-// SetChaos implements ChaosHost.
-func (e *CycladesEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
 
 // RunEpoch implements Engine: batches execute in order; inside a batch the
 // updates are conflict-free, so parallel execution is bitwise equal to
@@ -205,19 +176,16 @@ func (e *CycladesEngine) RunEpoch(w []float64) float64 {
 		e.schedule()
 	}
 	scr := e.Model.NewScratch()
-	if e.Chaos.Enabled() {
-		cw := e.Chaos.StandaloneWorker(0)
+	if cw := e.standaloneWorker(); cw != nil {
 		capt := &captureUpdater{}
 		for _, batch := range e.batches {
 			for _, i := range batch {
-				capt.idx = capt.idx[:0]
-				capt.delta = capt.delta[:0]
+				capt.reset()
 				e.Model.SGDStep(cw.View(w), e.Data, i, e.Step, capt, scr)
 				applyFate(cw.Fate(), model.RawUpdater{}, w, capt)
 				cw.Step()
 			}
 		}
-		cw.Stream.Flush()
 	} else {
 		for _, batch := range e.batches {
 			for _, i := range batch {
@@ -232,12 +200,12 @@ func (e *CycladesEngine) RunEpoch(w []float64) float64 {
 		// barrier phase.
 		barriers += (e.Chaos.Plan.SyncSlowdown() - 1) * (base + barriers)
 	}
-	rec := obs.Or(e.Rec)
+	rec, _ := e.recorder()
 	rec.Phase(obs.PhaseGradient, base)
 	rec.Phase(obs.PhaseBarrier, barriers)
 	rec.Add(obs.CounterBatches, int64(len(e.batches)))
 	rec.Add(obs.CounterWorkerUpdates, int64(e.Data.N()))
-	e.Chaos.Drain(e.Rec)
+	e.closeStreams()
 	return base + barriers
 }
 
@@ -246,10 +214,7 @@ func (e *CycladesEngine) RunEpoch(w []float64) float64 {
 // whole point), plus a per-batch barrier; the two parts are returned
 // separately for phase attribution and sum to the epoch seconds.
 func (e *CycladesEngine) epochCost() (base, barriers float64) {
-	scale := e.CostScale
-	if scale <= 0 {
-		scale = 1
-	}
+	scale := costScale(e.CostScale)
 	n := float64(e.Data.N()) * scale
 	var avgSupport float64
 	for i := 0; i < e.Data.N(); i++ {
@@ -261,13 +226,7 @@ func (e *CycladesEngine) epochCost() (base, barriers float64) {
 	ws := e.Data.X.SparseBytes() + int64(e.Model.NumParams()*8)
 
 	// Effective parallelism is capped by the mean batch length.
-	par := float64(e.Threads)
-	if e.stats.MeanBatchLen < par {
-		par = e.stats.MeanBatchLen
-	}
-	if par < 1 {
-		par = 1
-	}
+	par := max(1, min(float64(e.Threads), e.stats.MeanBatchLen))
 	base = e.Cost.StreamTime(ws, int64(bytes), flops, int(par))
 	// Barrier per batch (threads synchronise): ~2us each at paper scale.
 	barriers = float64(e.stats.Batches) * scale * 2e-6

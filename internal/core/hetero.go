@@ -3,21 +3,18 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
-	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/gpusim"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Heterogeneous co-training cost-model defaults, in the same abstract work
 // units the Local-SGD family prices with: one CPU gradient step costs one
-// unit; the GPU side is priced by the simulator's roofline in real seconds
-// and converted through SecPerUnit for comparison.
+// unit (DefaultLocalSecPerUnit modeled seconds); the GPU side is priced by
+// the simulator's roofline in real seconds.
 const (
 	// DefaultHeteroBatch is the dispatch granularity of the split: the
 	// shuffled epoch is cut into batches of this many examples and each
@@ -34,6 +31,8 @@ const (
 	// blend: a two-vector convex combination, much cheaper than the full
 	// K+1-way fold, charged per completed batch in the async engine.
 	DefaultHeteroBlendUnits = 8.0
+	// heteroMergeBeta is the weight of the arriving stream in that blend.
+	heteroMergeBeta = 0.5
 	// DefaultHeteroMinShare bounds the adaptive ratio away from 0 and 1 so
 	// a temporarily slow backend keeps receiving probe work and can win its
 	// share back when it recovers.
@@ -69,13 +68,19 @@ const (
 // so the stock straggler/storm plans (which slow the first worker) model a
 // straggling GPU: its kernel time stretches by the straggler factor, the
 // EWMA sees it, and the split shifts toward the CPU within a bounded number
-// of epochs (~2–3 at Alpha=0.5; asserted by the chaos tests). Fault
+// of epochs (~2–3 at DefaultHeteroAlpha; asserted by the chaos tests). Fault
 // granularity mirrors each backend's native semantics: GPU drop fates act
 // per example inside the kernel (as in GPUHogwildEngine), CPU drop/dup fates
 // act per replica-epoch on the merge weight (as in LocalSGDEngine's rounds).
 // Staleness plans are a no-op here — within an epoch the backends never read
 // each other's writes.
+//
+// The recorder receives the phase split (gradient = the overlapped backend
+// compute, barrier = the slack the faster backend waits, update = the
+// merge), the hetero batch counters, and the realised GPU share.
 type HeteroEngine struct {
+	poolHooks
+	shuffle
 	Model model.Model
 	Data  *data.Dataset
 	Step  float64
@@ -86,31 +91,12 @@ type HeteroEngine struct {
 	// OccupancyForN, as the pure-GPU engines do).
 	Dev      *gpusim.Device
 	MaxWarps int
-	// Batch is the routing granularity in examples (0 = DefaultHeteroBatch).
-	Batch int
 	// FixedGPUShare pins the split (0 = all CPU, 1 = all GPU) and disables
 	// adaptation — the static baseline the adaptive policy is gated
 	// against, and the degenerate endpoints of the merge property test.
 	// Negative (the constructor's default) means adaptive.
 	FixedGPUShare float64
-	// MinShare, Alpha tune the adaptive estimator (0 = package defaults).
-	MinShare float64
-	Alpha    float64
-	// MergeUnits prices the end-of-epoch merge; SecPerUnit converts units
-	// to modeled seconds. Zero values take the package defaults.
-	MergeUnits float64
-	SecPerUnit float64
-	// Rec receives the phase split (gradient = the overlapped backend
-	// compute, barrier = the slack the faster backend waits, update = the
-	// merge), the hetero batch counters, and the realised GPU share.
-	Rec obs.Recorder
-	// Pool overrides the dispatch pool (nil = the shared process pool).
-	Pool *pool.Pool
-	// Chaos, when enabled, injects backend faults (see type docs).
-	Chaos *chaos.Controller
 
-	rng      *rand.Rand
-	perm     []int
 	cpuItems []int
 	gpuItems []int
 	cb       []int       // CPU replica bounds over cpuItems (contiguous, equal±1)
@@ -121,7 +107,6 @@ type HeteroEngine struct {
 	capt     captureUpdater
 	merge    [][]float64 // reps..., wGPU — fixed fold order
 	wgt      []float64
-	streams  []*chaos.Stream // 0 = GPU, 1..K = CPU replicas
 	stats    gpusim.AsyncStats
 
 	share    float64 // next epoch's target GPU share (adaptive state)
@@ -140,6 +125,7 @@ type HeteroEngine struct {
 func NewHetero(m model.Model, ds *data.Dataset, step float64, cpuWorkers int) *HeteroEngine {
 	dev := gpusim.K80()
 	return &HeteroEngine{
+		shuffle:       newShuffle(),
 		Model:         m,
 		Data:          ds,
 		Step:          step,
@@ -147,7 +133,7 @@ func NewHetero(m model.Model, ds *data.Dataset, step float64, cpuWorkers int) *H
 		Dev:           dev,
 		MaxWarps:      OccupancyForN(dev, ds.N()),
 		FixedGPUShare: -1,
-		rng:           rand.New(rand.NewSource(99)),
+		share:         DefaultHeteroStartShare,
 	}
 }
 
@@ -159,26 +145,13 @@ func (e *HeteroEngine) Name() string {
 // SetShuffleSeed implements Seeded. It also resets the adaptive estimator so
 // every seeded run starts from the same deterministic 50/50 split.
 func (e *HeteroEngine) SetShuffleSeed(seed int64) {
-	e.rng = rand.New(rand.NewSource(seed))
+	e.shuffle.SetShuffleSeed(seed)
 	e.share = DefaultHeteroStartShare
 	e.ewmaCPU, e.ewmaGPU = 0, 0
 }
 
-// SetRecorder implements Instrumented.
-func (e *HeteroEngine) SetRecorder(r obs.Recorder) { e.Rec = r }
-
-// SetChaos implements ChaosHost.
-func (e *HeteroEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
-
 // GPUShare returns the adaptive estimator's current target GPU share.
-// The clamp keeps a live share strictly positive, so zero means "not yet
-// initialised" and reads as the deterministic start share.
-func (e *HeteroEngine) GPUShare() float64 {
-	if e.share == 0 {
-		return DefaultHeteroStartShare
-	}
-	return e.share
-}
+func (e *HeteroEngine) GPUShare() float64 { return e.share }
 
 // LastSplit returns the realised batch split of the most recent epoch.
 func (e *HeteroEngine) LastSplit() (cpuBatches, gpuBatches int) {
@@ -188,67 +161,26 @@ func (e *HeteroEngine) LastSplit() (cpuBatches, gpuBatches int) {
 // LastStats returns the GPU simulator statistics of the most recent epoch.
 func (e *HeteroEngine) LastStats() gpusim.AsyncStats { return e.stats }
 
-func (e *HeteroEngine) workerPool() *pool.Pool {
-	if e.Pool != nil {
-		return e.Pool
-	}
-	return pool.Default()
-}
-
 func (e *HeteroEngine) prepare() {
-	if e.perm != nil {
+	n := e.Data.N()
+	if !e.fill(n) {
 		return
 	}
-	n := e.Data.N()
-	if e.CPUWorkers < 1 {
-		e.CPUWorkers = 1
-	}
-	if e.CPUWorkers > n {
-		e.CPUWorkers = n
-	}
-	if e.Batch < 1 {
-		e.Batch = DefaultHeteroBatch
-	}
-	if e.MinShare <= 0 {
-		e.MinShare = DefaultHeteroMinShare
-	}
-	if e.Alpha <= 0 {
-		e.Alpha = DefaultHeteroAlpha
-	}
-	if e.MergeUnits <= 0 {
-		e.MergeUnits = DefaultHeteroMergeUnits
-	}
-	if e.SecPerUnit <= 0 {
-		e.SecPerUnit = DefaultLocalSecPerUnit
-	}
+	e.CPUWorkers = max(1, min(e.CPUWorkers, n))
 	if e.MaxWarps <= 0 {
 		e.MaxWarps = OccupancyForN(e.Dev, n)
 	}
-	if e.share == 0 {
-		e.share = DefaultHeteroStartShare
-	}
-	e.perm = make([]int, n)
-	for i := range e.perm {
-		e.perm[i] = i
-	}
 	k := e.CPUWorkers
-	dim := e.Model.NumParams()
 	e.cpuItems = make([]int, 0, n)
 	e.gpuItems = make([]int, 0, n)
 	e.cb = make([]int, k+1)
-	e.reps = make([][]float64, k)
-	e.scrs = make([]model.Scratch, k)
-	for r := 0; r < k; r++ {
-		e.reps[r] = model.AlignedVec(dim)
-		e.scrs[r] = e.Model.NewScratch()
-	}
-	e.wGPU = model.AlignedVec(dim)
+	e.reps, e.scrs = newReplicas(e.Model, k)
+	e.wGPU = model.AlignedVec(e.Model.NumParams())
 	e.gpuScr = e.Model.NewScratch()
 	e.merge = make([][]float64, k+1)
 	copy(e.merge, e.reps)
 	e.merge[k] = e.wGPU
 	e.wgt = make([]float64, k+1)
-	e.streams = make([]*chaos.Stream, k+1)
 }
 
 // targetShare is the GPU share the next split executes at.
@@ -264,20 +196,9 @@ func (e *HeteroEngine) targetShare() float64 {
 // from each to ever reverse a shift); a pinned share may take the degenerate
 // all-CPU / all-GPU endpoints.
 func (e *HeteroEngine) gpuBatchCount(share float64, nb int) int {
-	g := int(math.Round(share * float64(nb)))
-	if g < 0 {
-		g = 0
-	}
-	if g > nb {
-		g = nb
-	}
+	g := max(0, min(int(math.Round(share*float64(nb))), nb))
 	if e.FixedGPUShare < 0 && nb >= 2 {
-		if g < 1 {
-			g = 1
-		}
-		if g > nb-1 {
-			g = nb - 1
-		}
+		g = max(1, min(g, nb-1))
 	}
 	return g
 }
@@ -291,11 +212,8 @@ func (e *HeteroEngine) split(n, nb, gb int) {
 	e.cpuItems = e.cpuItems[:0]
 	e.gpuItems = e.gpuItems[:0]
 	for b := 0; b < nb; b++ {
-		lo := b * e.Batch
-		hi := lo + e.Batch
-		if hi > n {
-			hi = n
-		}
+		lo := b * DefaultHeteroBatch
+		hi := min(lo+DefaultHeteroBatch, n)
 		if (b+1)*gb/nb > b*gb/nb {
 			e.gpuItems = append(e.gpuItems, e.perm[lo:hi]...)
 		} else {
@@ -315,19 +233,13 @@ func (e *HeteroEngine) split(n, nb, gb int) {
 func (e *HeteroEngine) RunEpoch(w []float64) float64 {
 	e.prepare()
 	n := len(e.perm)
-	e.rng.Shuffle(n, func(i, j int) { e.perm[i], e.perm[j] = e.perm[j], e.perm[i] })
+	e.reshuffle()
 	k := e.CPUWorkers
 	p := e.workerPool()
+	streams := e.openStreams(k + 1) // 0 = GPU, 1..K = CPU replicas; nil = healthy
+	chaosOn := streams != nil
 
-	chaosOn := e.Chaos.Enabled() && e.Chaos.Plan.Active()
-	if chaosOn {
-		in := e.Chaos.Injector()
-		for i := range e.streams {
-			e.streams[i] = in.Worker(i)
-		}
-	}
-
-	nb := (n + e.Batch - 1) / e.Batch
+	nb := (n + DefaultHeteroBatch - 1) / DefaultHeteroBatch
 	gb := e.gpuBatchCount(e.targetShare(), nb)
 	e.split(n, nb, gb)
 	e.lastGPUB = gb
@@ -347,37 +259,15 @@ func (e *HeteroEngine) RunEpoch(w []float64) float64 {
 	var gpuSec float64
 	var wg sync.WaitGroup
 	if gpuN > 0 {
-		fpe := 4
-		if e.Model.Name() == "mlp" {
-			fpe = 6
-		}
-		cfg := gpusim.AsyncConfig{
-			MaxWarps:        e.MaxWarps,
-			FlopsPerElement: fpe,
-			ReadSupport: func(item int) int {
-				return e.Model.GradSupport(e.Data, item)
-			},
-		}
-		if chaosOn && e.Chaos.Plan.DropFrac > 0 {
-			gs := e.streams[0]
-			cfg.FaultDrop = func(item int) bool {
-				return gs.Fate() == chaos.FateDrop
-			}
+		cfg := gpuAsyncConfig(e.Model, e.Data, e.MaxWarps)
+		if chaosOn {
+			cfg.FaultDrop = e.faultDrop(streams[0])
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			capt := &e.capt
-			e.stats = e.Dev.RunAsyncEpoch(e.gpuItems, cfg, func(item int, emit func(int, float64)) {
-				capt.idx = capt.idx[:0]
-				capt.delta = capt.delta[:0]
-				e.Model.SGDStep(e.wGPU, e.Data, item, e.Step, capt, e.gpuScr)
-				for kk, ix := range capt.idx {
-					emit(ix, capt.delta[kk])
-				}
-			}, func(idx int, delta float64) {
-				e.wGPU[idx] += delta
-			})
+			e.stats = e.Dev.RunAsyncEpoch(e.gpuItems, cfg,
+				emitStep(e.Model, e.Data, e.wGPU, e.Step, &e.capt, e.gpuScr), addTo(e.wGPU))
 			gpuSec = e.stats.Cost.Seconds
 		}()
 	}
@@ -393,20 +283,20 @@ func (e *HeteroEngine) RunEpoch(w []float64) float64 {
 	// Price the two sides. The GPU straggler factor stretches the whole
 	// kernel time, launch included, exactly as GPUHogwildEngine models it.
 	if chaosOn && gpuN > 0 {
-		gpuSec *= e.streams[0].Cost()
+		gpuSec *= streams[0].Cost()
 	}
 	cpuUnits := 0.0
 	for r := 0; r < k; r++ {
 		items := float64(e.cb[r+1] - e.cb[r])
 		cost := 1.0
 		if chaosOn && items > 0 {
-			cost = e.streams[r+1].Cost()
+			cost = streams[r+1].Cost()
 		}
 		if u := items * cost; u > cpuUnits {
 			cpuUnits = u
 		}
 	}
-	cpuSec := cpuUnits * e.SecPerUnit
+	cpuSec := cpuUnits * DefaultLocalSecPerUnit
 
 	// Merge weights: each contribution counts its examples; CPU fates act
 	// here (a dropped replica-epoch loses its weight, a duplicated one
@@ -415,12 +305,7 @@ func (e *HeteroEngine) RunEpoch(w []float64) float64 {
 		items := float64(e.cb[r+1] - e.cb[r])
 		e.wgt[r] = items
 		if chaosOn && items > 0 {
-			switch e.streams[r+1].Fate() {
-			case chaos.FateDrop:
-				e.wgt[r] = 0
-			case chaos.FateDup:
-				e.wgt[r] = 2 * items
-			}
+			e.wgt[r] = items * float64(fateTimes(streams[r+1].Fate()))
 		}
 	}
 	e.wgt[k] = float64(gpuN)
@@ -433,7 +318,7 @@ func (e *HeteroEngine) RunEpoch(w []float64) float64 {
 	if wsum > 0 {
 		e.reduce = reduceTask{dst: w, reps: e.merge, wgt: e.wgt, wsum: wsum}
 		p.RunGrain(p.Size(), len(w), reduceGrain, &e.reduce)
-		mergeSec = e.MergeUnits * e.SecPerUnit
+		mergeSec = DefaultHeteroMergeUnits * DefaultLocalSecPerUnit
 		merged = true
 	}
 
@@ -441,18 +326,18 @@ func (e *HeteroEngine) RunEpoch(w []float64) float64 {
 	// next epoch's share by time-proportional allocation.
 	if e.FixedGPUShare < 0 {
 		if cpuN > 0 {
-			e.ewmaCPU = ewma(e.ewmaCPU, cpuSec/float64(cpuN), e.Alpha)
+			e.ewmaCPU = ewma(e.ewmaCPU, cpuSec/float64(cpuN), DefaultHeteroAlpha)
 		}
 		if gpuN > 0 {
-			e.ewmaGPU = ewma(e.ewmaGPU, gpuSec/float64(gpuN), e.Alpha)
+			e.ewmaGPU = ewma(e.ewmaGPU, gpuSec/float64(gpuN), DefaultHeteroAlpha)
 		}
 		if e.ewmaCPU > 0 && e.ewmaGPU > 0 {
 			s := e.ewmaCPU / (e.ewmaCPU + e.ewmaGPU)
-			e.share = clampShare(s, e.MinShare)
+			e.share = max(DefaultHeteroMinShare, min(s, 1-DefaultHeteroMinShare))
 		}
 	}
 
-	e.record(n, gpuN, cpuSec, gpuSec, mergeSec, merged, chaosOn)
+	e.record(n, gpuN, cpuSec, gpuSec, mergeSec, merged)
 	return math.Max(cpuSec, gpuSec) + mergeSec
 }
 
@@ -464,34 +349,14 @@ func ewma(prev, obs, alpha float64) float64 {
 	return alpha*obs + (1-alpha)*prev
 }
 
-// clampShare bounds a share to [min, 1-min].
-func clampShare(s, min float64) float64 {
-	if s < min {
-		return min
-	}
-	if s > 1-min {
-		return 1 - min
-	}
-	return s
-}
-
 // record emits the epoch's phase decomposition and counters: gradient is the
 // overlapped compute (both backends busy), barrier is the slack the faster
 // backend spends waiting for the slower, update is the merge. The three sum
 // exactly to the returned epoch seconds.
-func (e *HeteroEngine) record(n, gpuN int, cpuSec, gpuSec, mergeSec float64, merged, chaosOn bool) {
-	if chaosOn {
-		for _, s := range e.streams {
-			if s != nil {
-				s.Flush()
-			}
-		}
-	}
-	if e.Chaos.Enabled() {
-		e.Chaos.Drain(e.Rec)
-	}
-	rec := obs.Or(e.Rec)
-	if !obs.Enabled(rec) {
+func (e *HeteroEngine) record(n, gpuN int, cpuSec, gpuSec, mergeSec float64, merged bool) {
+	e.closeStreams()
+	rec, on := e.recorder()
+	if !on {
 		return
 	}
 	overlap := math.Min(cpuSec, gpuSec)
@@ -526,6 +391,3 @@ func (t *heteroStepTask) Run(lo, hi int) {
 }
 
 var _ Engine = (*HeteroEngine)(nil)
-var _ Seeded = (*HeteroEngine)(nil)
-var _ Instrumented = (*HeteroEngine)(nil)
-var _ ChaosHost = (*HeteroEngine)(nil)

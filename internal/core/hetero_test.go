@@ -101,7 +101,7 @@ func TestHeteroSplitPartitionsEpoch(t *testing.T) {
 			}
 		}
 		cpuB, gpuB := e.LastSplit()
-		nb := (ds.N() + e.Batch - 1) / e.Batch
+		nb := (ds.N() + DefaultHeteroBatch - 1) / DefaultHeteroBatch
 		if cpuB+gpuB != nb {
 			t.Fatalf("share=%.1f: %d+%d batches, want %d", share, cpuB, gpuB, nb)
 		}
@@ -235,8 +235,8 @@ func TestHeteroAdaptiveShareStaysBounded(t *testing.T) {
 	for ep := 0; ep < 6; ep++ {
 		sec := e.RunEpoch(w)
 		s := e.GPUShare()
-		if s < e.MinShare || s > 1-e.MinShare {
-			t.Fatalf("epoch %d: share %v escaped [%v, %v]", ep, s, e.MinShare, 1-e.MinShare)
+		if s < DefaultHeteroMinShare || s > 1-DefaultHeteroMinShare {
+			t.Fatalf("epoch %d: share %v escaped [%v, %v]", ep, s, DefaultHeteroMinShare, 1-DefaultHeteroMinShare)
 		}
 		cpuB, gpuB := e.LastSplit()
 		if cpuB == 0 || gpuB == 0 {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/numa"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // HogbatchMode selects the execution flavour of the mini-batch asynchronous
@@ -38,7 +37,15 @@ const DefaultBatch = 512
 // HogbatchEngine is mini-batch SGD with asynchronous (or sequential) model
 // updates, built on the same BatchGrad formulation as the synchronous
 // engine.
+//
+// The recorder receives phase timings (gradient = batch kernels, update = the
+// Axpy model write, barrier = per-batch dispatch overhead), the batch count,
+// and per-batch latency observations on the serialised paths. An enabled
+// chaos controller runs batch applications under per-batch fates
+// (drop/duplicate), staleness-bounded gradient views, and the async straggler
+// stretch — small, because batch claiming is dynamic.
 type HogbatchEngine struct {
+	poolHooks
 	Model model.BatchModel
 	Data  *data.Dataset
 	Step  float64
@@ -66,18 +73,6 @@ type HogbatchEngine struct {
 	// Hogwild-batch benign race). Set model.AtomicUpdater (or a counting
 	// variant) to measure lock-free batch application.
 	Updater model.Updater
-	// Rec receives phase timings (gradient = batch kernels, update = the
-	// Axpy model write, barrier = per-batch dispatch overhead), the batch
-	// count, and per-batch latency observations on the serialised paths.
-	Rec obs.Recorder
-	// Pool overrides the worker pool the concurrent path dispatches on
-	// (nil = the shared process pool). Tests inject private pools.
-	Pool *pool.Pool
-	// Chaos, when enabled, runs batch applications under the fault
-	// controller: per-batch fates (drop/duplicate), staleness-bounded
-	// gradient views, and the async straggler stretch — small, because
-	// batch claiming is dynamic.
-	Chaos *chaos.Controller
 
 	cost     *numa.Model
 	seqBack  linalg.Backend
@@ -99,14 +94,6 @@ func (e *HogbatchEngine) updater() model.Updater {
 		return e.Updater
 	}
 	return model.RawUpdater{}
-}
-
-// workerPool resolves the dispatch pool.
-func (e *HogbatchEngine) workerPool() *pool.Pool {
-	if e.Pool != nil {
-		return e.Pool
-	}
-	return pool.Default()
 }
 
 // NewHogbatch builds the engine for the given mode with paper defaults.
@@ -141,36 +128,36 @@ func (e *HogbatchEngine) Name() string {
 	}
 }
 
-// batches returns the [lo, hi) ranges of one epoch.
-func (e *HogbatchEngine) batches() [][2]int {
-	n := e.Data.N()
-	b := e.Batch
-	if b <= 0 {
-		b = DefaultBatch
+// batchSize is Batch with its default applied.
+func (e *HogbatchEngine) batchSize() int {
+	if e.Batch > 0 {
+		return e.Batch
 	}
-	var out [][2]int
-	for lo := 0; lo < n; lo += b {
-		hi := lo + b
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
+	return DefaultBatch
 }
 
-// SetRecorder implements Instrumented.
-func (e *HogbatchEngine) SetRecorder(r obs.Recorder) { e.Rec = r }
+// numBatches is the mini-batch count of one epoch.
+func (e *HogbatchEngine) numBatches() int {
+	return (e.Data.N() + e.batchSize() - 1) / e.batchSize()
+}
 
-// SetChaos implements ChaosHost.
-func (e *HogbatchEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
-
-// scaleFactor is the CostScale multiplier with its default applied.
-func (e *HogbatchEngine) scaleFactor() float64 {
-	if e.CostScale > 0 {
-		return e.CostScale
+// batchRows refills rows with the example indices of batch k.
+func (e *HogbatchEngine) batchRows(rows []int, k int) []int {
+	b := e.batchSize()
+	rows = rows[:0]
+	for i, hi := k*b, min((k+1)*b, e.Data.N()); i < hi; i++ {
+		rows = append(rows, i)
 	}
-	return 1
+	return rows
+}
+
+// applyGrad lands the dense batch gradient g through upd, skipping zeros.
+func applyGrad(upd model.Updater, w, g []float64, step float64) {
+	for j, gv := range g {
+		if gv != 0 {
+			upd.Add(w, j, -step*gv)
+		}
+	}
 }
 
 // RunEpoch implements Engine.
@@ -194,15 +181,15 @@ func (e *HogbatchEngine) RunEpoch(w []float64) float64 {
 		}
 		sec, upd = e.runSerial(w, e.seqBack)
 	}
-	nb := int64(len(e.batches()))
+	nb := int64(e.numBatches())
 	overhead := float64(nb) * e.PerBatchOverhead
-	scale := e.scaleFactor()
+	scale := costScale(e.CostScale)
 	// Phase attribution: batch-gradient kernels are the gradient phase,
 	// the Axpy model write the update phase (zero on the concurrent-CPU
 	// path, whose scattered raw stores are priced inside the parallel
 	// factor), and the per-batch dispatch overhead the barrier. The three
 	// sum exactly to the returned epoch seconds.
-	rec := obs.Or(e.Rec)
+	rec, _ := e.recorder()
 	// A chaos straggler stretches the epoch by the (small, dynamic-
 	// claiming) async factor; the idle tail lands in the barrier phase so
 	// phases keep summing to the returned epoch seconds.
@@ -215,7 +202,7 @@ func (e *HogbatchEngine) RunEpoch(w []float64) float64 {
 	rec.Phase(obs.PhaseBarrier, overhead*scale+extra)
 	rec.Add(obs.CounterBatches, nb)
 	rec.Add(obs.CounterWorkerUpdates, nb)
-	e.Chaos.Drain(e.Rec)
+	e.closeStreams()
 	return (sec+overhead)*scale + extra
 }
 
@@ -224,51 +211,37 @@ func (e *HogbatchEngine) RunEpoch(w []float64) float64 {
 // launches — the serialisation the paper observes on GPU). The second return
 // is the Axpy (model-update) share of that delta.
 func (e *HogbatchEngine) runSerial(w []float64, b linalg.Backend) (total, upd float64) {
-	rec := obs.Or(e.Rec)
-	scale := e.scaleFactor()
-	var cw *chaos.Worker
-	if e.Chaos.Enabled() {
+	rec, _ := e.recorder()
+	scale := costScale(e.CostScale)
+	cw := e.standaloneWorker()
+	if cw != nil {
 		// The serial path has one worker, so a straggler plan slows it by
 		// the full factor (AsyncSlowdown(1) = F) — no peers to absorb it.
 		e.Chaos.Workers = 1
-		cw = e.Chaos.StandaloneWorker(0)
 	}
 	start := b.Meter().Seconds()
 	if len(e.g) != e.Model.NumParams() {
 		e.g = make([]float64, e.Model.NumParams())
 	}
-	if cap(e.rows) < e.Batch {
-		e.rows = make([]int, 0, e.Batch)
-	}
-	g, rows := e.g, e.rows
-	for _, r := range e.batches() {
-		rows = rows[:0]
-		for i := r[0]; i < r[1]; i++ {
-			rows = append(rows, i)
-		}
+	g := e.g
+	for k, nb := 0, e.numBatches(); k < nb; k++ {
+		e.rows = e.batchRows(e.rows, k)
 		b0 := b.Meter().Seconds()
 		if cw == nil {
-			e.Model.BatchGrad(b, w, e.Data, rows, g)
+			e.Model.BatchGrad(b, w, e.Data, e.rows, g)
 			u0 := b.Meter().Seconds()
 			b.Axpy(-e.Step, g, w)
 			upd += b.Meter().Seconds() - u0
 		} else {
-			e.Model.BatchGrad(b, cw.View(w), e.Data, rows, g)
+			e.Model.BatchGrad(b, cw.View(w), e.Data, e.rows, g)
 			u0 := b.Meter().Seconds()
-			switch cw.Fate() {
-			case chaos.FateDrop:
-			case chaos.FateDup:
-				b.Axpy(-2*e.Step, g, w)
-			default:
-				b.Axpy(-e.Step, g, w)
+			if t := fateTimes(cw.Fate()); t > 0 {
+				b.Axpy(-float64(t)*e.Step, g, w)
 			}
 			upd += b.Meter().Seconds() - u0
 			cw.Step()
 		}
 		rec.Observe(obs.MetricBatchSeconds, (b.Meter().Seconds()-b0+e.PerBatchOverhead)*scale)
-	}
-	if cw != nil {
-		cw.Stream.Flush()
 	}
 	return b.Meter().Seconds() - start, upd
 }
@@ -283,16 +256,10 @@ func (e *HogbatchEngine) runSerial(w []float64, b linalg.Backend) (total, upd fl
 // pipeline-depth batches later) — the regime in which the paper observes
 // the w8a statistical-efficiency blow-up (Table III: 10,635 epochs).
 func (e *HogbatchEngine) runParallel(w []float64) float64 {
-	batches := e.batches()
-	workers := e.Threads
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	if workers < e.Threads && workers < len(batches) {
-		return e.runEmulatedParallel(w, batches)
+	nb := e.numBatches()
+	workers := min(e.Threads, runtime.GOMAXPROCS(0), nb)
+	if workers < e.Threads && workers < nb {
+		return e.runEmulatedParallel(w, nb)
 	}
 	e.ensureWorkers(workers)
 	var next atomic.Int64
@@ -310,20 +277,12 @@ func (e *HogbatchEngine) runParallel(w []float64) float64 {
 			upd := e.updater()
 			for {
 				k := int(next.Add(1)) - 1
-				if k >= len(batches) {
+				if k >= nb {
 					break
 				}
-				r := batches[k]
-				rows = rows[:0]
-				for i := r[0]; i < r[1]; i++ {
-					rows = append(rows, i)
-				}
+				rows = e.batchRows(rows, k)
 				e.Model.BatchGrad(bk, w, e.Data, rows, g)
-				for j, gv := range g {
-					if gv != 0 {
-						upd.Add(w, j, -e.Step*gv)
-					}
-				}
+				applyGrad(upd, w, g, e.Step)
 			}
 			e.workerRows[p] = rows
 			e.workerSec[p] = bk.Meter().Seconds() - start
@@ -343,19 +302,8 @@ func (e *HogbatchEngine) runParallel(w []float64) float64 {
 // mode the whole epoch runs on the virtual-time scheduler with the full
 // modeled thread count and replays bitwise.
 func (e *HogbatchEngine) runParallelChaos(w []float64) float64 {
-	batches := e.batches()
-	workers := e.Threads
-	if !e.Chaos.Sequential {
-		if max := runtime.GOMAXPROCS(0); workers > max {
-			workers = max
-		}
-	}
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	nb := e.numBatches()
+	workers := e.chaosWorkers(e.Threads, nb)
 	e.ensureWorkers(workers)
 	var next atomic.Int64
 	e.Chaos.Run(e.Pool, workers, func(p int, cw *chaos.Worker) {
@@ -366,28 +314,13 @@ func (e *HogbatchEngine) runParallelChaos(w []float64) float64 {
 		upd := e.updater()
 		for {
 			k := int(next.Add(1)) - 1
-			if k >= len(batches) {
+			if k >= nb {
 				break
 			}
-			r := batches[k]
-			rows = rows[:0]
-			for i := r[0]; i < r[1]; i++ {
-				rows = append(rows, i)
-			}
+			rows = e.batchRows(rows, k)
 			e.Model.BatchGrad(bk, cw.View(w), e.Data, rows, g)
-			times := 1
-			switch cw.Fate() {
-			case chaos.FateDrop:
-				times = 0
-			case chaos.FateDup:
-				times = 2
-			}
-			for t := 0; t < times; t++ {
-				for j, gv := range g {
-					if gv != 0 {
-						upd.Add(w, j, -e.Step*gv)
-					}
-				}
+			for t := fateTimes(cw.Fate()); t > 0; t-- {
+				applyGrad(upd, w, g, e.Step)
 			}
 			cw.Step()
 		}
@@ -420,18 +353,14 @@ func (e *HogbatchEngine) ensureWorkers(workers int) {
 // parSpeedup is the measured-efficiency parallel factor applied to the
 // single-thread kernel work of the concurrent batch workers.
 func (e *HogbatchEngine) parSpeedup() float64 {
-	speedup := e.ParEfficiency * e.cost.EffectiveCores(e.Threads)
-	if speedup < 1 {
-		return 1
-	}
-	return speedup
+	return max(1, e.ParEfficiency*e.cost.EffectiveCores(e.Threads))
 }
 
 // runEmulatedParallel reproduces Threads-way Hogbatch staleness on a host
 // with fewer cores: batch gradients are computed against the model state at
 // dispatch time and applied `depth` dispatches later, where depth is the
 // number of batches concurrently in flight on the paper machine.
-func (e *HogbatchEngine) runEmulatedParallel(w []float64, batches [][2]int) float64 {
+func (e *HogbatchEngine) runEmulatedParallel(w []float64, nb int) float64 {
 	if len(e.workerBk) < 1 {
 		e.workerBk = []*linalg.CPUBackend{linalg.NewCPU(1)}
 	}
@@ -444,41 +373,25 @@ func (e *HogbatchEngine) runEmulatedParallel(w []float64, batches [][2]int) floa
 	if e.CostScale > 1 {
 		depth = int(float64(e.Threads)/e.CostScale + 0.5)
 	}
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > len(batches) {
-		depth = len(batches)
-	}
+	depth = min(max(depth, 1), nb)
 	// In-flight gradients cycle through a freelist: the pipeline holds at
 	// most depth of them, so after warm-up no epoch allocates gradient
 	// buffers (the seed allocated one full model-sized vector per batch).
 	queue := e.pendingG[:0]
 	head := 0
-	if cap(e.rows) < e.Batch {
-		e.rows = make([]int, 0, e.Batch)
-	}
-	rows := e.rows
 	upd := e.updater()
 	apply := func(g []float64) {
-		for j, gv := range g {
-			if gv != 0 {
-				upd.Add(w, j, -e.Step*gv)
-			}
-		}
+		applyGrad(upd, w, g, e.Step)
 		e.freeG = append(e.freeG, g)
 	}
-	rec := obs.Or(e.Rec)
+	rec, _ := e.recorder()
 	speedup := e.parSpeedup()
-	scale := e.scaleFactor()
-	for _, r := range batches {
-		rows = rows[:0]
-		for i := r[0]; i < r[1]; i++ {
-			rows = append(rows, i)
-		}
+	scale := costScale(e.CostScale)
+	for k := 0; k < nb; k++ {
+		e.rows = e.batchRows(e.rows, k)
 		g := e.getG()
 		b0 := bk.Meter().Seconds()
-		e.Model.BatchGrad(bk, w, e.Data, rows, g)
+		e.Model.BatchGrad(bk, w, e.Data, e.rows, g)
 		rec.Observe(obs.MetricBatchSeconds,
 			((bk.Meter().Seconds()-b0)/speedup+e.PerBatchOverhead)*scale)
 		queue = append(queue, g)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/numa"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // FullScaleStats carries exact full-dataset statistics for the cost model
@@ -33,7 +31,18 @@ type FullScaleStats struct {
 // measures is a real property of asynchrony. The modeled epoch time comes
 // from the NUMA cost model, including the cache-coherence penalty of the
 // scattered concurrent writes.
+//
+// The recorder receives phase timings (gradient = streaming read+compute,
+// update = scattered model writes incl. coherence), the per-epoch update
+// count, each worker's share of the updates, and — when Updater implements
+// model.RetryCounter — the CAS-retry delta. Under an enabled chaos controller
+// workers claim examples dynamically, read through staleness-bounded views,
+// land updates under injector fates, and — in sequential mode — interleave
+// on the seeded virtual-time scheduler, making the racy update order exactly
+// replayable.
 type HogwildEngine struct {
+	poolHooks
+	shuffle
 	Model model.Model
 	Data  *data.Dataset
 	Step  float64
@@ -43,16 +52,6 @@ type HogwildEngine struct {
 	// Updater selects the write discipline: model.RawUpdater (classic
 	// Hogwild benign races) or model.AtomicUpdater (lock-free CAS adds).
 	Updater model.Updater
-	// StripeWindow, when > 0, turns on cache-line-striped micro-batching
-	// (DESIGN §14): each worker buffers this many component updates
-	// privately, then flushes them sorted by index with duplicates
-	// coalesced, applying through Updater in ascending (stripe-ordered)
-	// index order. Fewer issued shared-line stores means fewer CAS
-	// retries under the atomic disciplines; the cost is bounded staleness
-	// of at most one window. Zero (the default) preserves the classic
-	// per-update path exactly. The chaos and emulated paths ignore it —
-	// their update pipelines impose their own disciplines.
-	StripeWindow int
 	// Cost prices epochs; defaults to the paper machine.
 	Cost *numa.Model
 	// CostScale inflates the modeled update count and data volume to the
@@ -65,31 +64,11 @@ type HogwildEngine struct {
 	// working set on the wrong side of a cache boundary — the registry
 	// statistics avoid that.
 	Full *FullScaleStats
-	// Rec receives phase timings (gradient = streaming read+compute,
-	// update = scattered model writes incl. coherence), the per-epoch
-	// update count, each worker's share of the updates, and — when
-	// Updater implements model.RetryCounter — the CAS-retry delta.
-	Rec obs.Recorder
-	// Pool overrides the worker pool the concurrent path dispatches on
-	// (nil = the shared process pool). Tests inject private pools.
-	Pool *pool.Pool
-	// Chaos, when enabled, runs epochs under the fault-injection
-	// controller: workers claim examples dynamically, read through
-	// staleness-bounded views, land updates under injector fates, and —
-	// in sequential mode — interleave on the seeded virtual-time
-	// scheduler, making the racy update order exactly replayable.
-	Chaos *chaos.Controller
 
-	rng           *rand.Rand
-	perm          []int
-	avgSupport    float64
-	epochCost     float64
-	gradCost      float64
-	updCost       float64
-	lastRetries   int64
-	stripes       []*model.StripeBuffer // per-segment stripe buffers, reused
-	lastFlushes   int64
-	lastCoalesced int64
+	epochCost   float64
+	gradCost    float64
+	updCost     float64
+	lastRetries int64
 
 	task      hogwildTask     // pre-bound concurrent-path task
 	bounds    []int           // nnz-balanced segment bounds over perm, reused
@@ -100,36 +79,20 @@ type HogwildEngine struct {
 	ring      []inflightUpdate
 	cursors   []int
 	capture   captureUpdater
-	emScratch model.Scratch
-	emInit    bool
-}
-
-// workerPool resolves the dispatch pool.
-func (e *HogwildEngine) workerPool() *pool.Pool {
-	if e.Pool != nil {
-		return e.Pool
-	}
-	return pool.Default()
 }
 
 // NewHogwild builds the engine with the paper-machine cost model, raw
 // updates, and a deterministic shuffle seed.
 func NewHogwild(m model.Model, ds *data.Dataset, step float64, threads int) *HogwildEngine {
 	return &HogwildEngine{
+		shuffle: newShuffle(),
 		Model:   m,
 		Data:    ds,
 		Step:    step,
 		Threads: threads,
 		Updater: model.RawUpdater{},
 		Cost:    numa.PaperMachine(),
-		rng:     rand.New(rand.NewSource(99)),
 	}
-}
-
-// SetShuffleSeed reseeds the epoch shuffle stream (the harness varies it
-// across repetitions of the same experiment).
-func (e *HogwildEngine) SetShuffleSeed(seed int64) {
-	e.rng = rand.New(rand.NewSource(seed))
 }
 
 // Name implements Engine.
@@ -142,23 +105,17 @@ func (e *HogwildEngine) Name() string {
 
 // prepare computes the dataset-dependent cost inputs once.
 func (e *HogwildEngine) prepare() {
-	if e.perm != nil {
+	n := e.Data.N()
+	if !e.fill(n) {
 		return
 	}
-	n := e.Data.N()
-	e.perm = make([]int, n)
 	var totalSupport float64
-	for i := range e.perm {
-		e.perm[i] = i
+	for i := 0; i < n; i++ {
 		totalSupport += float64(e.Model.GradSupport(e.Data, i))
 	}
-	e.avgSupport = totalSupport / float64(n)
-	scale := e.CostScale
-	if scale <= 0 {
-		scale = 1
-	}
+	scale := costScale(e.CostScale)
 	updates := int64(float64(n) * scale)
-	support := e.avgSupport
+	support := totalSupport / float64(n)
 	dataBytes := int64(float64(e.Data.X.SparseBytes()) * scale)
 	if e.Full != nil {
 		updates = e.Full.Updates
@@ -170,18 +127,12 @@ func (e *HogwildEngine) prepare() {
 	e.epochCost = e.gradCost + e.updCost
 }
 
-// SetRecorder implements Instrumented.
-func (e *HogwildEngine) SetRecorder(r obs.Recorder) { e.Rec = r }
-
-// SetChaos implements ChaosHost.
-func (e *HogwildEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
-
 // record emits one epoch's phase decomposition, worker shares, and (when the
 // updater counts CAS retries) the contention delta. shares are the fraction
 // of the epoch's updates each worker executed.
 func (e *HogwildEngine) record(shares []float64) {
-	rec := obs.Or(e.Rec)
-	if !obs.Enabled(rec) {
+	rec, on := e.recorder()
+	if !on {
 		return
 	}
 	rec.Phase(obs.PhaseGradient, e.gradCost)
@@ -195,70 +146,31 @@ func (e *HogwildEngine) record(shares []float64) {
 		rec.Add(obs.CounterCASRetries, total-e.lastRetries)
 		e.lastRetries = total
 	}
-	if e.StripeWindow > 0 {
-		flushes, coalesced, _ := e.StripeCounters()
-		rec.Add(obs.CounterStripeFlushes, flushes-e.lastFlushes)
-		rec.Add(obs.CounterStripeCoalesced, coalesced-e.lastCoalesced)
-		e.lastFlushes, e.lastCoalesced = flushes, coalesced
-	}
-}
-
-// stripeBuf returns (building on first use) the stripe buffer of segment k.
-// Buffers wrap the engine's Updater at creation, so set Updater before the
-// first epoch when striping is on.
-func (e *HogwildEngine) stripeBuf(k int) *model.StripeBuffer {
-	for len(e.stripes) <= k {
-		e.stripes = append(e.stripes, model.NewStripeBuffer(e.Updater, e.Model.NumParams(), e.StripeWindow))
-	}
-	return e.stripes[k]
-}
-
-// StripeCounters returns the cumulative striping statistics summed over all
-// worker buffers: window flushes, updates coalesced away, and updates
-// actually issued through the base updater. Zero when striping is off.
-func (e *HogwildEngine) StripeCounters() (flushes, coalesced, applied int64) {
-	for _, sb := range e.stripes {
-		flushes += sb.Flushes()
-		coalesced += sb.Coalesced()
-		applied += sb.Applied()
-	}
-	return
 }
 
 // RunEpoch implements Engine: one pass over a fresh shuffle of the data.
 func (e *HogwildEngine) RunEpoch(w []float64) float64 {
 	e.prepare()
-	e.rng.Shuffle(len(e.perm), func(i, j int) { e.perm[i], e.perm[j] = e.perm[j], e.perm[i] })
+	e.reshuffle()
 	if e.Chaos.Enabled() {
 		return e.runChaos(w)
 	}
-	workers := e.Threads
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		// Host cores bound the real concurrency; the modeled time is
-		// still priced at e.Threads on the paper machine.
-		workers = max
-	}
+	// Host cores bound the real concurrency; the modeled time is still
+	// priced at e.Threads on the paper machine.
+	workers := min(e.Threads, runtime.GOMAXPROCS(0))
 	if e.Threads > 1 && workers < e.Threads {
 		// Not enough host cores to exhibit e.Threads-way asynchrony:
 		// emulate it deterministically instead of under-representing
 		// the staleness.
 		e.runEmulated(w, e.Threads)
-		e.record(e.emulatedShares(e.Threads))
+		e.record(e.shares)
 		return e.epochCost
 	}
 	if workers <= 1 {
 		scr := e.Model.NewScratch()
 		upd := e.Updater
-		var sb *model.StripeBuffer
-		if e.StripeWindow > 0 {
-			sb = e.stripeBuf(0)
-			upd = sb
-		}
 		for _, i := range e.perm {
 			e.Model.SGDStep(w, e.Data, i, e.Step, upd, scr)
-		}
-		if sb != nil {
-			sb.Flush(w)
 		}
 		e.record([]float64{1})
 		return e.epochCost
@@ -278,11 +190,6 @@ func (e *HogwildEngine) RunEpoch(w []float64) float64 {
 	for len(e.scratches) < nseg {
 		e.scratches = append(e.scratches, e.Model.NewScratch())
 	}
-	if e.StripeWindow > 0 {
-		// Grow the buffer slice before dispatch; segments index it
-		// concurrently.
-		e.stripeBuf(nseg - 1)
-	}
 	e.task = hogwildTask{e: e, w: w}
 	e.workerPool().Run(nseg, nseg, &e.task)
 	e.record(e.shares)
@@ -301,20 +208,7 @@ func (e *HogwildEngine) RunEpoch(w []float64) float64 {
 // fault decisions are deterministic.
 func (e *HogwildEngine) runChaos(w []float64) float64 {
 	n := len(e.perm)
-	workers := e.Threads
-	if !e.Chaos.Sequential {
-		// Real concurrency is bounded by host cores, as on the healthy
-		// path; the virtual-time scheduler has no such limit.
-		if max := runtime.GOMAXPROCS(0); workers > max {
-			workers = max
-		}
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := e.chaosWorkers(e.Threads, n)
 	for len(e.scratches) < workers {
 		e.scratches = append(e.scratches, e.Model.NewScratch())
 	}
@@ -325,9 +219,7 @@ func (e *HogwildEngine) runChaos(w []float64) float64 {
 		e.claims = make([]int64, workers)
 	}
 	claims := e.claims[:workers]
-	for k := range claims {
-		claims[k] = 0
-	}
+	clear(claims)
 	var next atomic.Int64
 	e.Chaos.Run(e.Pool, workers, func(k int, cw *chaos.Worker) {
 		scr := e.scratches[k]
@@ -338,8 +230,7 @@ func (e *HogwildEngine) runChaos(w []float64) float64 {
 				return
 			}
 			claims[k]++
-			capt.idx = capt.idx[:0]
-			capt.delta = capt.delta[:0]
+			capt.reset()
 			e.Model.SGDStep(cw.View(w), e.Data, e.perm[t], e.Step, capt, scr)
 			applyFate(cw.Fate(), e.Updater, w, capt)
 			cw.Step()
@@ -358,7 +249,7 @@ func (e *HogwildEngine) runChaos(w []float64) float64 {
 		// stays consistent with the returned epoch seconds.
 		obs.Or(e.Rec).Phase(obs.PhaseBarrier, extra)
 	}
-	e.Chaos.Drain(e.Rec)
+	e.closeStreams()
 	return e.epochCost + extra
 }
 
@@ -375,39 +266,10 @@ func (t *hogwildTask) Run(lo, hi int) {
 	for k := lo; k < hi; k++ {
 		scr := e.scratches[k]
 		upd := e.Updater
-		var sb *model.StripeBuffer
-		if e.StripeWindow > 0 {
-			sb = e.stripes[k]
-			upd = sb
-		}
 		for _, i := range e.perm[e.bounds[k]:e.bounds[k+1]] {
 			e.Model.SGDStep(t.w, e.Data, i, e.Step, upd, scr)
 		}
-		if sb != nil {
-			// No update outlives its segment: the residue lands before
-			// the epoch's pool barrier.
-			sb.Flush(t.w)
-		}
 	}
-}
-
-// emulatedShares reproduces the chunk split of runEmulated so the recorded
-// worker shares match the logical threads that actually executed.
-func (e *HogwildEngine) emulatedShares(p int) []float64 {
-	n := len(e.perm)
-	if p > n {
-		p = n
-	}
-	chunk := (n + p - 1) / p
-	e.shares = e.shares[:0]
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		e.shares = append(e.shares, float64(hi-lo)/float64(n))
-	}
-	return e.shares
 }
 
 // runEmulated executes one epoch with P logical threads interleaved
@@ -416,25 +278,25 @@ func (e *HogwildEngine) emulatedShares(p int) []float64 {
 // turns later (a FIFO of in-flight updates), reproducing the read-compute-
 // write staleness of a real P-thread Hogwild run. Gradients are computed on
 // stale models and concurrent writers interleave, exactly the statistical
-// regime the paper measures on 56 threads.
+// regime the paper measures on 56 threads. e.shares is left holding each
+// logical thread's share of the epoch (its chunk of the permutation).
 func (e *HogwildEngine) runEmulated(w []float64, p int) {
 	n := len(e.perm)
-	if p > n {
-		p = n
-	}
+	p = min(p, n)
 	chunk := (n + p - 1) / p
+	e.shares = e.shares[:0]
+	for lo := 0; lo < n; lo += chunk {
+		e.shares = append(e.shares, float64(min(lo+chunk, n)-lo)/float64(n))
+	}
 	if cap(e.cursors) < p {
 		e.cursors = make([]int, p)
 	}
 	cursors := e.cursors[:p] // per logical thread position within its chunk
-	for t := range cursors {
-		cursors[t] = 0
+	clear(cursors)
+	if len(e.scratches) == 0 {
+		e.scratches = append(e.scratches, e.Model.NewScratch())
 	}
-	if !e.emInit {
-		e.emScratch = e.Model.NewScratch()
-		e.emInit = true
-	}
-	scr := e.emScratch
+	scr := e.scratches[0]
 	// The FIFO of in-flight updates lives in a ring of at most p slots whose
 	// index/delta buffers are reused across updates and epochs — the seed
 	// allocated two fresh slices per model update here, which dominated the
@@ -464,8 +326,7 @@ func (e *HogwildEngine) runEmulated(w []float64, p int) {
 				continue
 			}
 			cursors[t]++
-			capture.idx = capture.idx[:0]
-			capture.delta = capture.delta[:0]
+			capture.reset()
 			e.Model.SGDStep(w, e.Data, e.perm[pos], e.Step, capture, scr)
 			slot := &ring[(head+count)%p]
 			slot.idx = append(slot.idx[:0], capture.idx...)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
-	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/gpusim"
 	"repro/internal/model"
@@ -16,7 +13,18 @@ import (
 // writes collide (see internal/gpusim for the exact semantics). This is the
 // configuration the GPU frameworks do not ship and the paper had to build
 // (Section III-B).
+//
+// The recorder receives phase timings (barrier = kernel-launch overhead,
+// update = the write share of the roofline time, gradient = the rest), the
+// simulator's conflict/coalescing counters, and the divergent-warp fraction.
+// An enabled chaos controller wires the plan's drop fraction into the
+// simulator's FaultDrop hook and stretches the epoch by the async straggler
+// slowdown over the resident warps — vanishing, because thousands of warps
+// absorb one slow one. Staleness injection is a no-op here: warp-round
+// snapshot staleness is already the kernel's native read semantics.
 type GPUHogwildEngine struct {
+	hooks
+	shuffle
 	Model model.Model
 	Data  *data.Dataset
 	Step  float64
@@ -39,21 +47,7 @@ type GPUHogwildEngine struct {
 	// gpusim.AsyncConfig.WarpPerExample): no intra-warp conflicts or
 	// divergence, 32x fewer concurrent examples.
 	WarpPerExample bool
-	// Rec receives phase timings (barrier = kernel-launch overhead,
-	// update = the write share of the roofline time, gradient = the rest),
-	// the simulator's conflict/coalescing counters, and the divergent-warp
-	// fraction.
-	Rec obs.Recorder
-	// Chaos, when enabled, wires the plan's drop fraction into the
-	// simulator's FaultDrop hook and stretches the epoch by the async
-	// straggler slowdown over the resident warps — vanishing, because
-	// thousands of warps absorb one slow one. Staleness injection is a
-	// no-op here: warp-round snapshot staleness is already the kernel's
-	// native read semantics.
-	Chaos *chaos.Controller
 
-	rng   *rand.Rand
-	perm  []int
 	stats gpusim.AsyncStats
 }
 
@@ -65,42 +59,24 @@ type GPUHogwildEngine struct {
 func OccupancyForN(dev *gpusim.Device, n int) int {
 	limit := dev.Spec.MaxResidentWarps()
 	// Paper-scale ratio: ~1 resident thread per 22 examples.
-	scaled := n / (22 * dev.Spec.WarpSize)
-	if scaled < 1 {
-		scaled = 1
-	}
-	if scaled > limit {
-		return limit
-	}
-	return scaled
+	return min(max(n/(22*dev.Spec.WarpSize), 1), limit)
 }
 
 // NewGPUHogwild builds the engine on the K80 with scaled occupancy.
 func NewGPUHogwild(m model.Model, ds *data.Dataset, step float64) *GPUHogwildEngine {
 	dev := gpusim.K80()
 	return &GPUHogwildEngine{
-		Model: m, Data: ds, Step: step, Dev: dev,
+		shuffle: newShuffle(),
+		Model:   m, Data: ds, Step: step, Dev: dev,
 		MaxWarps: OccupancyForN(dev, ds.N()),
-		rng:      rand.New(rand.NewSource(99)),
 	}
 }
 
 // Name implements Engine.
 func (e *GPUHogwildEngine) Name() string { return "async/gpu" }
 
-// SetShuffleSeed reseeds the epoch shuffle stream.
-func (e *GPUHogwildEngine) SetShuffleSeed(seed int64) {
-	e.rng = rand.New(rand.NewSource(seed))
-}
-
 // LastStats returns the conflict statistics of the most recent epoch.
 func (e *GPUHogwildEngine) LastStats() gpusim.AsyncStats { return e.stats }
-
-// SetRecorder implements Instrumented.
-func (e *GPUHogwildEngine) SetRecorder(r obs.Recorder) { e.Rec = r }
-
-// SetChaos implements ChaosHost.
-func (e *GPUHogwildEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
 
 // record surfaces one epoch's AsyncStats through the recorder. The phase
 // split attributes the kernel-launch overhead to the barrier phase and
@@ -108,8 +84,8 @@ func (e *GPUHogwildEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
 // the global traffic) and gradient (everything else); the three sum exactly
 // to Cost.Seconds.
 func (e *GPUHogwildEngine) record(st gpusim.AsyncStats) {
-	rec := obs.Or(e.Rec)
-	if !obs.Enabled(rec) {
+	rec, on := e.recorder()
+	if !on {
 		return
 	}
 	barrier := float64(st.Cost.Launches) * e.Dev.Spec.KernelLaunchNS * 1e-9
@@ -152,48 +128,67 @@ func (c *captureUpdater) Add(_ []float64, i int, d float64) {
 	c.delta = append(c.delta, d)
 }
 
-// RunEpoch implements Engine.
-func (e *GPUHogwildEngine) RunEpoch(w []float64) float64 {
-	if e.perm == nil {
-		e.perm = make([]int, e.Data.N())
-		for i := range e.perm {
-			e.perm[i] = i
+// reset forgets the captured updates, keeping the buffers.
+func (c *captureUpdater) reset() {
+	c.idx = c.idx[:0]
+	c.delta = c.delta[:0]
+}
+
+// emitStep returns the simulator compute callback of the flat GPU kernels:
+// one SGD step of m against w, captured and re-emitted so the simulator
+// decides which lane writes land.
+func emitStep(m model.Model, ds *data.Dataset, w []float64, step float64, capt *captureUpdater, scr model.Scratch) func(item int, emit func(int, float64)) {
+	return func(item int, emit func(int, float64)) {
+		capt.reset()
+		m.SGDStep(w, ds, item, step, capt, scr)
+		for k, ix := range capt.idx {
+			emit(ix, capt.delta[k])
 		}
 	}
-	e.rng.Shuffle(len(e.perm), func(i, j int) { e.perm[i], e.perm[j] = e.perm[j], e.perm[i] })
-	scr := e.Model.NewScratch()
-	capt := &captureUpdater{}
+}
+
+// addTo returns the simulator apply callback that lands a surviving lane
+// write in w.
+func addTo(w []float64) func(idx int, delta float64) {
+	return func(idx int, delta float64) { w[idx] += delta }
+}
+
+// gpuAsyncConfig is the simulator configuration common to the GPU-side
+// engines: occupancy, the model's per-touched-weight flop count, and the
+// per-example read support.
+func gpuAsyncConfig(m model.Model, ds *data.Dataset, maxWarps int) gpusim.AsyncConfig {
 	fpe := 4
-	if e.Model.Name() == "mlp" {
+	if m.Name() == "mlp" {
 		fpe = 6 // forward + backward multiply-adds per touched weight
 	}
-	cfg := gpusim.AsyncConfig{
-		Combine:         e.Combine,
-		MaxWarps:        e.MaxWarps,
+	return gpusim.AsyncConfig{
+		MaxWarps:        maxWarps,
 		FlopsPerElement: fpe,
-		WarpPerExample:  e.WarpPerExample,
-		ReadSupport: func(item int) int {
-			return e.Model.GradSupport(e.Data, item)
-		},
+		ReadSupport:     func(item int) int { return m.GradSupport(ds, item) },
 	}
-	var cw *chaos.Worker
-	if e.Chaos.Enabled() {
-		cw = e.Chaos.StandaloneWorker(0)
-		if e.Chaos.Plan.DropFrac > 0 {
-			// Deterministic per-item drop decisions; the simulator still
-			// charges the dropped lane's compute (see AsyncConfig.FaultDrop).
-			// Duplication has no SIMT analogue — a duped fate applies once.
-			cfg.FaultDrop = func(item int) bool {
-				return cw.Fate() == chaos.FateDrop
-			}
-		}
+}
+
+// RunEpoch implements Engine.
+func (e *GPUHogwildEngine) RunEpoch(w []float64) float64 {
+	e.fill(e.Data.N())
+	e.reshuffle()
+	scr := e.Model.NewScratch()
+	capt := &captureUpdater{}
+	cfg := gpuAsyncConfig(e.Model, e.Data, e.MaxWarps)
+	cfg.Combine = e.Combine
+	cfg.WarpPerExample = e.WarpPerExample
+	cw := e.standaloneWorker()
+	if cw != nil {
+		// Deterministic per-item drop decisions; the simulator still
+		// charges the dropped lane's compute (see AsyncConfig.FaultDrop).
+		// Duplication has no SIMT analogue — a duped fate applies once.
+		cfg.FaultDrop = e.faultDrop(cw.Stream)
 	}
 	if e.SharedMemory && int64(e.Model.NumParams())*8 <= e.Dev.Spec.SharedMemPerMP {
 		e.stats = e.Dev.RunAsyncEpochShared(e.Model.NumParams(), e.perm, cfg,
 			func(idx int) float64 { return w[idx] },
 			func(item int, replica []float64, emit func(int, float64)) {
-				capt.idx = capt.idx[:0]
-				capt.delta = capt.delta[:0]
+				capt.reset()
 				e.Model.SGDStep(replica, e.Data, item, e.Step, capt, scr)
 				for k, ix := range capt.idx {
 					emit(ix, capt.delta[k])
@@ -201,19 +196,10 @@ func (e *GPUHogwildEngine) RunEpoch(w []float64) float64 {
 			},
 			func(idx int, v float64) { w[idx] = v })
 	} else {
-		e.stats = e.Dev.RunAsyncEpoch(e.perm, cfg, func(item int, emit func(int, float64)) {
-			capt.idx = capt.idx[:0]
-			capt.delta = capt.delta[:0]
-			e.Model.SGDStep(w, e.Data, item, e.Step, capt, scr)
-			for k, ix := range capt.idx {
-				emit(ix, capt.delta[k])
-			}
-		}, func(idx int, delta float64) {
-			w[idx] += delta
-		})
+		e.stats = e.Dev.RunAsyncEpoch(e.perm, cfg, emitStep(e.Model, e.Data, w, e.Step, capt, scr), addTo(w))
 	}
-	if e.CostScale > 0 && e.CostScale != 1 {
-		e.stats.Cost = e.Dev.Rescale(e.stats.Cost, e.CostScale)
+	if scale := costScale(e.CostScale); scale != 1 {
+		e.stats.Cost = e.Dev.Rescale(e.stats.Cost, scale)
 	}
 	if cw != nil {
 		// One straggling warp among the resident thousands barely moves
@@ -225,10 +211,9 @@ func (e *GPUHogwildEngine) RunEpoch(w []float64) float64 {
 		mw := e.Dev.Spec.MaxResidentWarps()
 		e.Chaos.Workers = mw
 		e.stats.Cost.Seconds *= e.Chaos.Plan.AsyncSlowdown(mw)
-		cw.Stream.Flush()
 	}
 	e.record(e.stats)
-	e.Chaos.Drain(e.Rec)
+	e.closeStreams()
 	return e.stats.Cost.Seconds
 }
 

@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Local-SGD cost-model defaults, in the same abstract work units the
@@ -51,7 +48,15 @@ const (
 // cost stretches by the straggler factor — and a dropped fate loses the
 // replica's entire H-step contribution for that round (it rejoins from the
 // average, its local work discarded), a duplicated fate double-weights it.
+//
+// One averaging round is priced at DefaultLocalReduceUnits and units convert
+// to modeled seconds at DefaultLocalSecPerUnit. The recorder receives
+// per-phase timings (gradient = local steps, update = reduction rounds,
+// barrier = straggler slack), the update and round counters, and each
+// replica's share of the epoch's updates.
 type LocalSGDEngine struct {
+	poolHooks
+	shuffle
 	Model model.Model
 	Data  *data.Dataset
 	Step  float64
@@ -61,45 +66,28 @@ type LocalSGDEngine struct {
 	// H is the number of local steps each replica takes between averaging
 	// barriers.
 	H int
-	// ReduceUnits prices one averaging round; SecPerUnit converts units to
-	// modeled seconds. Zero values take the package defaults.
-	ReduceUnits float64
-	SecPerUnit  float64
-	// Rec receives per-phase timings (gradient = local steps, update =
-	// reduction rounds, barrier = straggler slack), the update and round
-	// counters, and each replica's share of the epoch's updates.
-	Rec obs.Recorder
-	// Pool overrides the dispatch pool (nil = the shared process pool).
-	Pool *pool.Pool
-	// Chaos, when enabled, injects round-granular faults (see type docs).
-	Chaos *chaos.Controller
 
-	rng     *rand.Rand
-	perm    []int
-	bounds  []int          // replica shard bounds over perm (contiguous, equal±1)
-	reps    [][]float64    // private replica vectors, 64B-aligned
-	upds    []touchUpdater // per-replica write-set recorders
-	scrs    []model.Scratch
-	wgt     []float64 // per-round receive weights under chaos
-	shares  []float64
-	streams []*chaos.Stream
-	stepT   localStepTask
-	reduce  reduceTask
-	bcast   broadcastTask
+	bounds []int          // replica shard bounds over perm (contiguous, equal±1)
+	reps   [][]float64    // private replica vectors, 64B-aligned
+	upds   []touchUpdater // per-replica write-set recorders
+	scrs   []model.Scratch
+	wgt    []float64 // per-round receive weights under chaos
+	shares []float64
+	stepT  localStepTask
+	reduce reduceTask
+	bcast  broadcastTask
 }
 
 // NewLocalSGD builds the engine with the default cost model and a
 // deterministic shuffle seed.
 func NewLocalSGD(m model.Model, ds *data.Dataset, step float64, replicas, h int) *LocalSGDEngine {
 	return &LocalSGDEngine{
-		Model:       m,
-		Data:        ds,
-		Step:        step,
-		Replicas:    replicas,
-		H:           h,
-		ReduceUnits: DefaultLocalReduceUnits,
-		SecPerUnit:  DefaultLocalSecPerUnit,
-		rng:         rand.New(rand.NewSource(99)),
+		shuffle:  newShuffle(),
+		Model:    m,
+		Data:     ds,
+		Step:     step,
+		Replicas: replicas,
+		H:        h,
 	}
 }
 
@@ -108,68 +96,30 @@ func (e *LocalSGDEngine) Name() string {
 	return fmt.Sprintf("local-sync/cpu-par(%d)h%d", e.Replicas, e.H)
 }
 
-// SetShuffleSeed implements Seeded.
-func (e *LocalSGDEngine) SetShuffleSeed(seed int64) {
-	e.rng = rand.New(rand.NewSource(seed))
-}
-
-// SetRecorder implements Instrumented.
-func (e *LocalSGDEngine) SetRecorder(r obs.Recorder) { e.Rec = r }
-
-// SetChaos implements ChaosHost.
-func (e *LocalSGDEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
-
-func (e *LocalSGDEngine) workerPool() *pool.Pool {
-	if e.Pool != nil {
-		return e.Pool
-	}
-	return pool.Default()
-}
-
 // prepare builds the replica state once: private aligned vectors sized to
 // the model dimension, per-replica scratches, and the contiguous shard
 // bounds over the permutation (replica r owns perm[bounds[r]:bounds[r+1]],
 // shard lengths differing by at most one).
 func (e *LocalSGDEngine) prepare() {
-	if e.perm != nil {
+	n := e.Data.N()
+	if !e.fill(n) {
 		return
 	}
-	n := e.Data.N()
-	if e.Replicas < 1 {
-		e.Replicas = 1
-	}
-	if e.Replicas > n {
-		e.Replicas = n
-	}
-	if e.H < 1 {
-		e.H = 1
-	}
-	if e.ReduceUnits <= 0 {
-		e.ReduceUnits = DefaultLocalReduceUnits
-	}
-	if e.SecPerUnit <= 0 {
-		e.SecPerUnit = DefaultLocalSecPerUnit
-	}
-	e.perm = make([]int, n)
-	for i := range e.perm {
-		e.perm[i] = i
-	}
+	e.Replicas = max(1, min(e.Replicas, n))
+	e.H = max(1, e.H)
 	k := e.Replicas
 	dim := e.Model.NumParams()
 	e.bounds = make([]int, k+1)
-	e.reps = make([][]float64, k)
+	e.reps, e.scrs = newReplicas(e.Model, k)
 	e.upds = make([]touchUpdater, k)
-	e.scrs = make([]model.Scratch, k)
 	e.wgt = make([]float64, k)
 	e.shares = make([]float64, k)
 	for r := 0; r < k; r++ {
 		e.bounds[r] = r * n / k
-		e.reps[r] = model.AlignedVec(dim)
 		e.upds[r] = touchUpdater{
 			stamp: make([]uint32, dim),
 			list:  make([]int32, 0, dim),
 		}
-		e.scrs[r] = e.Model.NewScratch()
 	}
 	e.bounds[k] = n
 	for r := 0; r < k; r++ {
@@ -194,21 +144,10 @@ func (e *LocalSGDEngine) segLen(r, off int) int {
 // to H local steps per replica followed by a barrier average.
 func (e *LocalSGDEngine) RunEpoch(w []float64) float64 {
 	e.prepare()
-	n := len(e.perm)
-	e.rng.Shuffle(n, func(i, j int) { e.perm[i], e.perm[j] = e.perm[j], e.perm[i] })
+	e.reshuffle()
 	k := e.Replicas
 	p := e.workerPool()
-
-	chaosOn := e.Chaos.Enabled() && e.Chaos.Plan.Active()
-	if chaosOn {
-		in := e.Chaos.Injector()
-		if len(e.streams) < k {
-			e.streams = make([]*chaos.Stream, k)
-		}
-		for r := 0; r < k; r++ {
-			e.streams[r] = in.Worker(r)
-		}
-	}
+	streams := e.openStreams(k) // nil = healthy rounds
 
 	// Every replica starts the epoch from the published model, with empty
 	// write sets (an all-dropped final round may have left some behind).
@@ -236,7 +175,7 @@ func (e *LocalSGDEngine) RunEpoch(w []float64) float64 {
 		p.Run(k, k, &e.stepT)
 		rounds++
 		gradUnits += float64(longest)
-		reduceUnits += e.ReduceUnits
+		reduceUnits += DefaultLocalReduceUnits
 
 		// Round fates: drawn in replica order on the caller, deterministic.
 		// Idle replicas (exhausted shard) keep weight 1 — they re-submit the
@@ -246,27 +185,23 @@ func (e *LocalSGDEngine) RunEpoch(w []float64) float64 {
 		for r := 0; r < k; r++ {
 			e.wgt[r] = 1
 		}
-		if chaosOn {
+		if streams != nil {
 			maxCost := 1.0
 			for r := 0; r < k; r++ {
 				if e.segLen(r, off) == 0 {
 					continue
 				}
-				if c := e.streams[r].Cost(); c > maxCost {
+				if c := streams[r].Cost(); c > maxCost {
 					maxCost = c
 				}
-				switch e.streams[r].Fate() {
-				case chaos.FateDrop:
-					e.wgt[r] = 0
-					weighted = true
-				case chaos.FateDup:
-					e.wgt[r] = 2
+				if t := fateTimes(streams[r].Fate()); t != 1 {
+					e.wgt[r] = float64(t)
 					weighted = true
 				}
 			}
 			// The barrier waits for the slowest contribution: the round's
 			// synchronisation cost stretches by the straggler factor.
-			extraUnits += (maxCost - 1) * e.ReduceUnits
+			extraUnits += (maxCost - 1) * DefaultLocalReduceUnits
 			wsum = 0
 			for r := 0; r < k; r++ {
 				wsum += e.wgt[r]
@@ -296,7 +231,7 @@ func (e *LocalSGDEngine) RunEpoch(w []float64) float64 {
 	}
 
 	e.record(rounds, merged, gradUnits, reduceUnits, extraUnits)
-	return (gradUnits + reduceUnits + extraUnits) * e.SecPerUnit
+	return (gradUnits + reduceUnits + extraUnits) * DefaultLocalSecPerUnit
 }
 
 // merge is the healthy barrier average: it visits the union of the replicas'
@@ -346,22 +281,15 @@ func (e *LocalSGDEngine) newRound() {
 
 // record emits the epoch's phase decomposition and counters.
 func (e *LocalSGDEngine) record(rounds int, merged int64, gradUnits, reduceUnits, extraUnits float64) {
-	if e.Chaos.Enabled() {
-		for r := 0; r < e.Replicas && r < len(e.streams); r++ {
-			if e.streams[r] != nil {
-				e.streams[r].Flush()
-			}
-		}
-		e.Chaos.Drain(e.Rec)
-	}
-	rec := obs.Or(e.Rec)
-	if !obs.Enabled(rec) {
+	e.closeStreams()
+	rec, on := e.recorder()
+	if !on {
 		return
 	}
-	rec.Phase(obs.PhaseGradient, gradUnits*e.SecPerUnit)
-	rec.Phase(obs.PhaseUpdate, reduceUnits*e.SecPerUnit)
+	rec.Phase(obs.PhaseGradient, gradUnits*DefaultLocalSecPerUnit)
+	rec.Phase(obs.PhaseUpdate, reduceUnits*DefaultLocalSecPerUnit)
 	if extraUnits > 0 {
-		rec.Phase(obs.PhaseBarrier, extraUnits*e.SecPerUnit)
+		rec.Phase(obs.PhaseBarrier, extraUnits*DefaultLocalSecPerUnit)
 	}
 	rec.Add(obs.CounterWorkerUpdates, int64(len(e.perm)))
 	rec.Add(obs.CounterLocalRounds, int64(rounds))
@@ -475,6 +403,18 @@ func (t *reduceTask) Run(lo, hi int) {
 	}
 }
 
+// newReplicas allocates k private cache-line-aligned copies of m's parameter
+// vector and a scratch for each.
+func newReplicas(m model.Model, k int) (reps [][]float64, scrs []model.Scratch) {
+	reps = make([][]float64, k)
+	scrs = make([]model.Scratch, k)
+	for r := range reps {
+		reps[r] = model.AlignedVec(m.NumParams())
+		scrs[r] = m.NewScratch()
+	}
+	return reps, scrs
+}
+
 // broadcastTask copies the published vector into replicas [lo, hi).
 type broadcastTask struct {
 	src  []float64
@@ -488,6 +428,3 @@ func (t *broadcastTask) Run(lo, hi int) {
 }
 
 var _ Engine = (*LocalSGDEngine)(nil)
-var _ Seeded = (*LocalSGDEngine)(nil)
-var _ Instrumented = (*LocalSGDEngine)(nil)
-var _ ChaosHost = (*LocalSGDEngine)(nil)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/chaos"
 	"repro/internal/data"
@@ -34,33 +33,27 @@ import (
 // average (CounterLocalStalenessSum); the firing count is
 // CounterLocalRounds. Larger H buys fewer reductions at more drift —
 // the statistical half of the H frontier (DESIGN §16).
+//
+// One timer aggregation is priced at DefaultLocalReduceUnits and the
+// virtual-time makespan converts to modeled seconds at
+// DefaultLocalSecPerUnit. The recorder receives phase timings,
+// update/round/staleness counters and per-replica claim shares; Pool
+// dispatches only the final (post-schedule) reduction. An enabled chaos plan
+// injects per-step fates and straggler costs into the replica streams; a
+// straggler simply claims fewer examples.
 type AsyncLocalSGDEngine struct {
+	poolHooks
+	shuffle
 	Model model.Model
 	Data  *data.Dataset
 	Step  float64
 	// Replicas is K (clamped to the dataset size on first use).
 	Replicas int
 	// H is the aggregation interval in virtual work units: the timer fires
-	// every H + ReduceUnits units, during which an unhindered replica takes
+	// every H + DefaultLocalReduceUnits units, during which an unhindered replica takes
 	// about that many unit-cost local steps.
 	H int
-	// ReduceUnits prices one timer aggregation; SecPerUnit converts the
-	// virtual-time makespan to modeled seconds. Zero values take the
-	// package defaults.
-	ReduceUnits float64
-	SecPerUnit  float64
-	// Rec receives phase timings, update/round/staleness counters and
-	// per-replica claim shares.
-	Rec obs.Recorder
-	// Pool dispatches the final (post-schedule) reduction (nil = shared
-	// process pool); the epoch itself runs on a private Sequencer.
-	Pool *pool.Pool
-	// Chaos, when enabled, injects per-step fates and straggler costs into
-	// the replica streams; a straggler simply claims fewer examples.
-	Chaos *chaos.Controller
 
-	rng        *rand.Rand
-	perm       []int
 	reps       [][]float64
 	scrs       []model.Scratch
 	caps       []captureUpdater
@@ -75,14 +68,12 @@ type AsyncLocalSGDEngine struct {
 // deterministic shuffle seed.
 func NewAsyncLocalSGD(m model.Model, ds *data.Dataset, step float64, replicas, h int) *AsyncLocalSGDEngine {
 	return &AsyncLocalSGDEngine{
-		Model:       m,
-		Data:        ds,
-		Step:        step,
-		Replicas:    replicas,
-		H:           h,
-		ReduceUnits: DefaultLocalReduceUnits,
-		SecPerUnit:  DefaultLocalSecPerUnit,
-		rng:         rand.New(rand.NewSource(99)),
+		shuffle:  newShuffle(),
+		Model:    m,
+		Data:     ds,
+		Step:     step,
+		Replicas: replicas,
+		H:        h,
 	}
 }
 
@@ -91,63 +82,20 @@ func (e *AsyncLocalSGDEngine) Name() string {
 	return fmt.Sprintf("local-async/cpu-par(%d)h%d", e.Replicas, e.H)
 }
 
-// SetShuffleSeed implements Seeded.
-func (e *AsyncLocalSGDEngine) SetShuffleSeed(seed int64) {
-	e.rng = rand.New(rand.NewSource(seed))
-}
-
-// SetRecorder implements Instrumented.
-func (e *AsyncLocalSGDEngine) SetRecorder(r obs.Recorder) { e.Rec = r }
-
-// SetChaos implements ChaosHost.
-func (e *AsyncLocalSGDEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
-
-func (e *AsyncLocalSGDEngine) workerPool() *pool.Pool {
-	if e.Pool != nil {
-		return e.Pool
-	}
-	return pool.Default()
-}
-
 func (e *AsyncLocalSGDEngine) prepare() {
-	if e.perm != nil {
+	n := e.Data.N()
+	if !e.fill(n) {
 		return
 	}
-	n := e.Data.N()
-	if e.Replicas < 1 {
-		e.Replicas = 1
-	}
-	if e.Replicas > n {
-		e.Replicas = n
-	}
-	if e.H < 1 {
-		e.H = 1
-	}
-	if e.ReduceUnits <= 0 {
-		e.ReduceUnits = DefaultLocalReduceUnits
-	}
-	if e.SecPerUnit <= 0 {
-		e.SecPerUnit = DefaultLocalSecPerUnit
-	}
-	e.perm = make([]int, n)
-	for i := range e.perm {
-		e.perm[i] = i
-	}
+	e.Replicas = max(1, min(e.Replicas, n))
+	e.H = max(1, e.H)
 	k := e.Replicas
-	dim := e.Model.NumParams()
-	e.reps = make([][]float64, k)
-	e.scrs = make([]model.Scratch, k)
+	e.reps, e.scrs = newReplicas(e.Model, k)
 	e.caps = make([]captureUpdater, k)
-	e.pub = model.AlignedVec(dim)
+	e.pub = model.AlignedVec(e.Model.NumParams())
 	e.stepsSince = make([]int, k)
 	e.claims = make([]int64, k)
 	e.shares = make([]float64, k)
-	for r := 0; r < k; r++ {
-		e.reps[r] = model.AlignedVec(dim)
-	}
-	for r := 0; r < k; r++ {
-		e.scrs[r] = e.Model.NewScratch()
-	}
 }
 
 // RunEpoch implements Engine: one pass over a fresh shuffle under the
@@ -156,21 +104,12 @@ func (e *AsyncLocalSGDEngine) prepare() {
 func (e *AsyncLocalSGDEngine) RunEpoch(w []float64) float64 {
 	e.prepare()
 	n := len(e.perm)
-	e.rng.Shuffle(n, func(i, j int) { e.perm[i], e.perm[j] = e.perm[j], e.perm[i] })
+	e.reshuffle()
 	// The scheduler's tie-break seed advances with the shuffle stream: each
 	// epoch (and each harness seed) draws a fresh, replayable interleaving.
 	seqSeed := e.rng.Int63()
 	k := e.Replicas
-
-	chaosOn := e.Chaos.Enabled() && e.Chaos.Plan.Active()
-	var streams []*chaos.Stream
-	if chaosOn {
-		in := e.Chaos.Injector()
-		streams = make([]*chaos.Stream, k)
-		for r := 0; r < k; r++ {
-			streams[r] = in.Worker(r)
-		}
-	}
+	streams := e.openStreams(k) // nil = healthy steps
 
 	copy(e.pub, w)
 	for r := 0; r < k; r++ {
@@ -197,7 +136,7 @@ func (e *AsyncLocalSGDEngine) RunEpoch(w []float64) float64 {
 			scr := e.scrs[r]
 			capt := &e.caps[r]
 			var stream *chaos.Stream
-			if chaosOn {
+			if streams != nil {
 				stream = streams[r]
 			}
 			basis := 0
@@ -214,16 +153,7 @@ func (e *AsyncLocalSGDEngine) RunEpoch(w []float64) float64 {
 				i := e.perm[next]
 				next++
 				e.claims[r]++
-				cost := 1.0
-				fate := chaos.FateApply
-				if stream != nil {
-					fate = stream.Fate()
-					cost = stream.Cost()
-				}
-				capt.idx = capt.idx[:0]
-				capt.delta = capt.delta[:0]
-				e.Model.SGDStep(wr, e.Data, i, e.Step, capt, scr)
-				applyFate(fate, model.RawUpdater{}, wr, capt)
+				cost := fatedStep(stream, e.Model, e.Data, wr, i, e.Step, capt, scr)
 				e.stepsSince[r]++
 				t.Tick(cost)
 			}
@@ -235,7 +165,7 @@ func (e *AsyncLocalSGDEngine) RunEpoch(w []float64) float64 {
 	// never wait on it — they adopt the new average lazily at their next
 	// step.
 	s.Go(func(t *pool.Turn) {
-		period := float64(e.H) + e.ReduceUnits
+		period := float64(e.H) + DefaultLocalReduceUnits
 		for replicasDone < k {
 			t.Tick(period)
 			if replicasDone == k {
@@ -262,33 +192,25 @@ func (e *AsyncLocalSGDEngine) RunEpoch(w []float64) float64 {
 	p := e.workerPool()
 	p.RunGrain(p.Size(), len(w), reduceGrain, &e.reduce)
 
-	makespan := s.Makespan()
-	sec := makespan * e.SecPerUnit
-	e.record(n, rounds, stalenessSum, makespan, chaosOn, streams)
+	sec := s.Makespan() * DefaultLocalSecPerUnit
+	e.record(n, rounds, stalenessSum, sec)
 	return sec
 }
 
 // record emits the epoch's phases and counters: gradient = the balanced
 // compute share, update = the timer's aggregation work, barrier = the
 // remaining makespan (claim imbalance and straggler overhang).
-func (e *AsyncLocalSGDEngine) record(n, rounds int, stalenessSum int64, makespan float64, chaosOn bool, streams []*chaos.Stream) {
-	if chaosOn {
-		for _, s := range streams {
-			s.Flush()
-		}
-	}
-	if e.Chaos.Enabled() {
-		e.Chaos.Drain(e.Rec)
-	}
-	rec := obs.Or(e.Rec)
-	if !obs.Enabled(rec) {
+func (e *AsyncLocalSGDEngine) record(n, rounds int, stalenessSum int64, sec float64) {
+	e.closeStreams()
+	rec, on := e.recorder()
+	if !on {
 		return
 	}
-	grad := float64(n) / float64(e.Replicas) * e.SecPerUnit
-	upd := float64(rounds) * e.ReduceUnits * e.SecPerUnit
+	grad := float64(n) / float64(e.Replicas) * DefaultLocalSecPerUnit
+	upd := float64(rounds) * DefaultLocalReduceUnits * DefaultLocalSecPerUnit
 	rec.Phase(obs.PhaseGradient, grad)
 	rec.Phase(obs.PhaseUpdate, upd)
-	if rest := makespan*e.SecPerUnit - grad - upd; rest > 0 {
+	if rest := sec - grad - upd; rest > 0 {
 		rec.Phase(obs.PhaseBarrier, rest)
 	}
 	rec.Add(obs.CounterWorkerUpdates, int64(n))
@@ -301,6 +223,3 @@ func (e *AsyncLocalSGDEngine) record(n, rounds int, stalenessSum int64, makespan
 }
 
 var _ Engine = (*AsyncLocalSGDEngine)(nil)
-var _ Seeded = (*AsyncLocalSGDEngine)(nil)
-var _ Instrumented = (*AsyncLocalSGDEngine)(nil)
-var _ ChaosHost = (*AsyncLocalSGDEngine)(nil)

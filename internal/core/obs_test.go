@@ -41,7 +41,8 @@ func runInstrumented(t *testing.T, e Engine, w []float64, nEpochs int) obs.RunSt
 // supports. Concurrent Hogwild there mixes plain gradient reads with
 // concurrent component writes — racy by design — so under -race the
 // single-threaded engine runs instead; the detector's coverage of the
-// concurrent path is TestStripedConcurrentEpochRace on disjoint supports.
+// concurrent path is TestSharedPoolHogwildAndBackendConcurrently on disjoint
+// supports.
 func sharedModelThreads() int {
 	if race.Enabled {
 		return 1
@@ -97,6 +98,23 @@ func TestHogwildCASRetryCounterMatchesUpdater(t *testing.T) {
 	// whatever contention the host actually exhibited.
 	if got, want := r.Counter(obs.CounterCASRetries), upd.Retries(); got != want {
 		t.Fatalf("cas_retries = %d, updater reports %d", got, want)
+	}
+}
+
+// TestHogwildSequentialEpochAllocatesNothing pins the plain sequential epoch
+// (threads 1, LR, recorder detached) at zero allocations once warm. It must be
+// the sequential engine: AllocsPerRun pins GOMAXPROCS to 1, which would push a
+// multi-thread engine onto the emulated path and measure the wrong thing; the
+// concurrent dispatch around the same SGDStep loop is pinned alloc-free by
+// internal/pool's tests.
+func TestHogwildSequentialEpochAllocatesNothing(t *testing.T) {
+	ds, _ := smallDataset(t, "w8a", 200)
+	m := model.NewLR(ds.D())
+	e := NewHogwild(m, ds, 0.3, 1)
+	w := m.InitParams(1)
+	e.RunEpoch(w) // warm: permutation and cost inputs are built on first use
+	if allocs := testing.AllocsPerRun(3, func() { e.RunEpoch(w) }); allocs != 0 {
+		t.Errorf("warm sequential Hogwild epoch allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -53,40 +53,54 @@ func (e *ReplicatedHogwildEngine) Name() string {
 	return fmt.Sprintf("async/cpu-pernode(%dx%d)", e.Replicas, e.ThreadsPerReplica)
 }
 
+// build shards the data and creates one inner Hogwild engine and one private
+// replica vector per shard, once.
+func (e *ReplicatedHogwildEngine) build() {
+	if e.inner != nil {
+		return
+	}
+	if e.Replicas < 1 {
+		e.Replicas = 1
+	}
+	n := e.Data.N()
+	shard := (n + e.Replicas - 1) / e.Replicas
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	for lo := 0; lo < n; lo += shard {
+		hi := lo + shard
+		if hi > n {
+			hi = n
+		}
+		sub := &data.Dataset{
+			Name: e.Data.Name,
+			X:    e.Data.X.SelectRows(rows[lo:hi]),
+			Y:    e.Data.Y[lo:hi],
+		}
+		h := NewHogwild(e.Model, sub, e.Step, e.ThreadsPerReplica)
+		h.CostScale = e.CostScale
+		e.inner = append(e.inner, h)
+		e.reps = append(e.reps, make([]float64, e.Model.NumParams()))
+	}
+}
+
+// SetShuffleSeed implements Seeded: inner replica r draws its epoch order
+// from stream seed+r, so the replicas stop visiting their shards in lockstep
+// order (unseeded, every inner engine keeps the constructor's default
+// stream).
+func (e *ReplicatedHogwildEngine) SetShuffleSeed(seed int64) {
+	e.build()
+	for r, h := range e.inner {
+		h.SetShuffleSeed(seed + int64(r))
+	}
+}
+
 // RunEpoch implements Engine: every replica makes a Hogwild pass over its
 // shard of the data, then the replicas are averaged into w (and re-seeded
 // from the average).
 func (e *ReplicatedHogwildEngine) RunEpoch(w []float64) float64 {
-	if e.inner == nil {
-		if e.Replicas < 1 {
-			e.Replicas = 1
-		}
-		n := e.Data.N()
-		shard := (n + e.Replicas - 1) / e.Replicas
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
-		for r := 0; r < e.Replicas; r++ {
-			lo := r * shard
-			if lo >= n {
-				break
-			}
-			hi := lo + shard
-			if hi > n {
-				hi = n
-			}
-			sub := &data.Dataset{
-				Name: e.Data.Name,
-				X:    e.Data.X.SelectRows(rows[lo:hi]),
-				Y:    e.Data.Y[lo:hi],
-			}
-			h := NewHogwild(e.Model, sub, e.Step, e.ThreadsPerReplica)
-			h.CostScale = e.CostScale
-			e.inner = append(e.inner, h)
-			e.reps = append(e.reps, make([]float64, len(w)))
-		}
-	}
+	e.build()
 	// Replicas run concurrently on disjoint sockets: epoch time is the
 	// slowest replica (they are near-identical shards), with no
 	// cross-socket coherence because each replica is node-local.
@@ -98,9 +112,7 @@ func (e *ReplicatedHogwildEngine) RunEpoch(w []float64) float64 {
 		}
 	}
 	// Average the replicas into the shared model.
-	for j := range w {
-		w[j] = 0
-	}
+	clear(w)
 	inv := 1 / float64(len(e.inner))
 	for _, rep := range e.reps {
 		tensor.Axpy(inv, rep, w)

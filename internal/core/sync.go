@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/linalg"
 	"repro/internal/model"
@@ -15,7 +14,18 @@ import (
 // model is updated once per batch, with full-dataset batches by default —
 // synchronous SGD "becomes batch gradient descent" (Section IV-A). The
 // identical code runs on every backend; only the cost accounting differs.
+//
+// The recorder receives phase timings (gradient = batch-gradient kernels,
+// update = Axpy, barrier = EpochOverhead) and the batch count. An enabled
+// chaos controller stretches the epoch by the plan's synchronous slowdown:
+// the per-epoch barrier waits out the straggler's full F-times share —
+// unless Chaos.Deadline caps the wait, in which case the update proceeds
+// with the gradient fraction received by the deadline (the straggler's
+// missing contributions are counted as shortfall). This is the fragile half
+// of the paper's contrast: the identical fault that barely moves the Hogwild
+// engines multiplies every synchronous epoch.
 type SyncEngine struct {
+	hooks
 	Backend linalg.Backend
 	Model   model.BatchModel
 	Data    *data.Dataset
@@ -36,18 +46,6 @@ type SyncEngine struct {
 	// sequential and ~6ms parallel components across all five datasets;
 	// ~4ms on GPU). It models library temporaries/dispatch, not compute.
 	EpochOverhead float64
-	// Rec receives phase timings (gradient = batch-gradient kernels,
-	// update = Axpy, barrier = EpochOverhead) and the batch count.
-	Rec obs.Recorder
-	// Chaos, when enabled, stretches the epoch by the plan's synchronous
-	// slowdown: the per-epoch barrier waits out the straggler's full
-	// F-times share — unless Chaos.Deadline caps the wait, in which case
-	// the update proceeds with the gradient fraction received by the
-	// deadline (the straggler's missing contributions are counted as
-	// shortfall). This is the fragile half of the paper's contrast: the
-	// identical fault that barely moves the Hogwild engines multiplies
-	// every synchronous epoch.
-	Chaos *chaos.Controller
 
 	grad []float64
 	rows []int
@@ -60,12 +58,6 @@ func NewSync(b linalg.Backend, m model.BatchModel, ds *data.Dataset, step float6
 
 // Name implements Engine.
 func (e *SyncEngine) Name() string { return "sync/" + e.Backend.Name() }
-
-// SetRecorder implements Instrumented.
-func (e *SyncEngine) SetRecorder(r obs.Recorder) { e.Rec = r }
-
-// SetChaos implements ChaosHost.
-func (e *SyncEngine) SetChaos(c *chaos.Controller) { e.Chaos = c }
 
 // chaosStretch resolves the epoch stretch and update scale the fault plan
 // imposes on the barriered path. Without a deadline the barrier waits out
@@ -87,10 +79,7 @@ func (e *SyncEngine) chaosStretch() (stretch, stepScale float64, shortfall int64
 	if workers <= 0 {
 		workers = 56 // the paper machine's thread count
 	}
-	s := e.Chaos.Plan.Stragglers
-	if s > workers {
-		s = workers
-	}
+	s := min(e.Chaos.Plan.Stragglers, workers)
 	// By the deadline each straggler has finished d/stretch of its static
 	// 1/workers share; the healthy workers have finished theirs.
 	frac := (float64(workers-s) + float64(s)*d/stretch) / float64(workers)
@@ -108,7 +97,7 @@ func (e *SyncEngine) RunEpoch(w []float64) float64 {
 	if e.grad == nil {
 		e.grad = make([]float64, e.Model.NumParams())
 	}
-	rec := obs.Or(e.Rec)
+	rec, _ := e.recorder()
 	stretch, stepScale, shortfall := e.chaosStretch()
 	meter := e.Backend.Meter()
 	start := meter.Seconds()
@@ -142,10 +131,7 @@ func (e *SyncEngine) RunEpoch(w []float64) float64 {
 		}
 	}
 	sec := meter.Seconds() - start
-	scale := 1.0
-	if e.CostScale > 0 {
-		scale = e.CostScale
-	}
+	scale := costScale(e.CostScale)
 	// Phase attribution: batch-gradient kernels are the gradient phase,
 	// the Axpy model write is the update phase, and the per-epoch
 	// primitive-management overhead — plus whatever the barrier spends
@@ -157,12 +143,10 @@ func (e *SyncEngine) RunEpoch(w []float64) float64 {
 	rec.Phase(obs.PhaseBarrier, barrier)
 	rec.Add(obs.CounterBatches, batches)
 	rec.Add(obs.CounterWorkerUpdates, batches)
-	if e.Chaos.Enabled() {
-		if shortfall > 0 {
-			e.Chaos.Injector().CountShortfall(shortfall)
-		}
-		e.Chaos.Drain(e.Rec)
+	if shortfall > 0 {
+		e.Chaos.Injector().CountShortfall(shortfall)
 	}
+	e.closeStreams()
 	return sec*scale*stretch + e.EpochOverhead
 }
 

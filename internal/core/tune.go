@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // StepGrid is the paper's step-size search grid: powers of ten
@@ -31,7 +32,7 @@ func TuneStep(mk func(step float64) Engine, m model.Model, ds *data.Dataset, ini
 		mid := math.Inf(1)
 		for ep := 0; ep < probeEpochs; ep++ {
 			e.RunEpoch(w)
-			if !finite(w) {
+			if !tensor.AllFinite(w) {
 				ok = false
 				break
 			}
@@ -60,15 +61,6 @@ func TuneStep(mk func(step float64) Engine, m model.Model, ds *data.Dataset, ini
 	return best
 }
 
-func finite(w []float64) bool {
-	for _, v := range w {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
 // EstimateOptLoss approximates the optimal loss the way the paper does
 // ("running all configurations for a full day and choosing the lowest"), at
 // tractable scale: long sequential incremental SGD runs at every *constant*
@@ -88,7 +80,7 @@ func EstimateOptLoss(m model.Model, ds *data.Dataset, epochs int) float64 {
 			for i := 0; i < ds.N(); i++ {
 				m.SGDStep(w, ds, i, step, model.RawUpdater{}, scr)
 			}
-			if !finite(w) {
+			if !tensor.AllFinite(w) {
 				diverged = true
 				break
 			}

@@ -27,8 +27,8 @@ func (m *LR) NumParams() int { return m.Dim }
 
 // InitParams implements Model: zero initialisation (the conventional LR
 // start, giving the same initial loss ln 2 everywhere). The vector is
-// 64-byte aligned so the striped-Hogwild layout (stripe = cache line)
-// holds exactly; alignment never changes the values.
+// 64-byte aligned so model stripe k is cache line k (see AlignedVec);
+// alignment never changes the values.
 func (m *LR) InitParams(seed int64) []float64 { return AlignedVec(m.Dim) }
 
 // NewScratch implements Model; LR needs no scratch.

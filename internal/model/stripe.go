@@ -1,32 +1,20 @@
 package model
 
-import (
-	"math/bits"
-	"unsafe"
-)
+import "unsafe"
 
-// Cache-line striping for the Hogwild hot path (DESIGN §14). The shared
-// model vector is allocated 64-byte aligned so that stripe k of
-// StripeWeights float64 components occupies exactly cache line k, and each
-// worker micro-batches its component updates in a private StripeBuffer that
-// flushes in ascending index order. Coalescing merges repeated hits on hot
-// components into one store, and the sorted flush turns the workers'
-// scattered write streams into stripe-ordered sweeps — fewer issued
-// shared-line stores means fewer CAS retries and less cache-line bouncing
-// under the atomic disciplines, and fewer lost writes under the raw one.
+// Cache-line layout of model vectors. Vectors that several workers write
+// (the shared Hogwild model, the replica engines' private copies, the
+// parameter server's shard store) are allocated 64-byte aligned, so that
+// stripe k of StripeWeights float64 components occupies exactly cache line k:
+// replicas never share a line, and the parameter server cuts its shards on
+// stripe boundaries.
 
 // StripeWeights is the number of float64 model components per 64-byte cache
-// line — the stripe width of the striped-Hogwild layout.
+// line.
 const StripeWeights = 8
 
 // cacheLine is the assumed cache-line size in bytes.
 const cacheLine = 64
-
-// DefaultStripeWindow is the per-worker update micro-batch size used when a
-// StripeBuffer is built with window <= 0. Large enough that the dataset's
-// hot columns repeat inside one window (coalescing pays) and the flush sort
-// amortises; small enough that staleness stays a tiny fraction of an epoch.
-const DefaultStripeWindow = 256
 
 // AlignedVec returns a zeroed []float64 of length n whose backing array
 // starts on a 64-byte boundary, so model stripe k coincides with cache line
@@ -43,105 +31,3 @@ func AlignedVec(n int) []float64 {
 	}
 	return buf[off : off+n : off+n]
 }
-
-// StripeBuffer is a per-worker micro-batching Updater: Add accumulates
-// deltas in a private dense accumulator (O(1), coalescing duplicates as
-// they arrive) and marks the component in a touch bitmap; after window
-// pending updates (or an explicit Flush) the bitmap is swept in word order
-// and the summed deltas applied through Base in ascending — hence
-// stripe-ordered — index order. The sweep costs O(dim/64 + unique), so no
-// sort (and no per-comparison interface dispatch) appears on the hot path.
-//
-// A StripeBuffer is owned by exactly one worker; only Base is shared. The
-// private state is one float64 accumulator plus one touch bitmap of the
-// model dimension — the same O(dim) per-worker memory the batch engines
-// already spend on gradient buffers. Note the buffered deltas land against
-// the value of w at flush time, not Add time: bounded staleness of at most
-// one window, the same currency every asynchronous engine here trades in.
-type StripeBuffer struct {
-	// Base is the shared write discipline the coalesced updates land
-	// through (RawUpdater, AtomicUpdater, ...).
-	Base Updater
-
-	acc     []float64 // dense per-component delta accumulator
-	seen    []uint64  // touch bitmap over acc
-	pending int       // Adds since the last flush
-	window  int
-
-	flushes   int64
-	coalesced int64
-	applied   int64
-}
-
-// NewStripeBuffer returns a buffer over a dim-component model, flushing
-// through base every window updates (DefaultStripeWindow if window <= 0).
-func NewStripeBuffer(base Updater, dim, window int) *StripeBuffer {
-	if window <= 0 {
-		window = DefaultStripeWindow
-	}
-	return &StripeBuffer{
-		Base:   base,
-		acc:    make([]float64, dim),
-		seen:   make([]uint64, (dim+63)/64),
-		window: window,
-	}
-}
-
-// Window returns the flush threshold.
-func (b *StripeBuffer) Window() int { return b.window }
-
-// Add implements Updater: it accumulates the update privately, flushing
-// when the window fills. The steady-state path is allocation-free.
-func (b *StripeBuffer) Add(w []float64, i int, delta float64) {
-	b.seen[uint(i)>>6] |= 1 << (uint(i) & 63)
-	b.acc[i] += delta
-	b.pending++
-	if b.pending >= b.window {
-		b.Flush(w)
-	}
-}
-
-// Flush applies the pending coalesced updates through Base in ascending
-// index order and resets the buffer. It must be called at the end of every
-// work segment so no update outlives its epoch.
-func (b *StripeBuffer) Flush(w []float64) {
-	if b.pending == 0 {
-		return
-	}
-	var unique int64
-	for wi, word := range b.seen {
-		if word == 0 {
-			continue
-		}
-		base := wi << 6
-		for word != 0 {
-			i := base + bits.TrailingZeros64(word)
-			word &= word - 1 // clear lowest set bit
-			b.Base.Add(w, i, b.acc[i])
-			b.acc[i] = 0
-			unique++
-		}
-		b.seen[wi] = 0
-	}
-	b.flushes++
-	b.coalesced += int64(b.pending) - unique
-	b.applied += unique
-	b.pending = 0
-}
-
-// Pending returns the number of buffered, unflushed updates.
-func (b *StripeBuffer) Pending() int { return b.pending }
-
-// Flushes returns the cumulative flush count.
-func (b *StripeBuffer) Flushes() int64 { return b.flushes }
-
-// Coalesced returns the cumulative count of updates merged into an earlier
-// update of the same component — shared-line stores the unstriped path
-// would have issued and this path did not.
-func (b *StripeBuffer) Coalesced() int64 { return b.coalesced }
-
-// Applied returns the cumulative count of updates issued through Base.
-// Applied+Coalesced equals the number of Adds received (once flushed).
-func (b *StripeBuffer) Applied() int64 { return b.applied }
-
-var _ Updater = (*StripeBuffer)(nil)

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math/rand"
 	"testing"
 	"unsafe"
 )
@@ -21,141 +20,5 @@ func TestAlignedVec(t *testing.T) {
 		if cap(v) != n {
 			t.Errorf("AlignedVec(%d) cap %d leaks slack past the logical vector", n, cap(v))
 		}
-	}
-}
-
-// recordingUpdater captures the (index, delta) sequence applied through it.
-type recordingUpdater struct {
-	idx   []int
-	delta []float64
-}
-
-func (r *recordingUpdater) Add(w []float64, i int, delta float64) {
-	r.idx = append(r.idx, i)
-	r.delta = append(r.delta, delta)
-	w[i] += delta
-}
-
-// TestStripeBufferEquivalence: any Add sequence flushed through a
-// StripeBuffer leaves w with exactly the per-component sums a direct
-// updater would (single-writer case — the concurrent semantics are the
-// engines' business).
-func TestStripeBufferEquivalence(t *testing.T) {
-	const dim = 500
-	rng := rand.New(rand.NewSource(3))
-	direct := make([]float64, dim)
-	striped := make([]float64, dim)
-	sb := NewStripeBuffer(RawUpdater{}, dim, 64)
-	for k := 0; k < 10000; k++ {
-		i := rng.Intn(dim)
-		if rng.Float64() < 0.5 {
-			i = rng.Intn(10) // hot components to force coalescing
-		}
-		d := rng.NormFloat64()
-		direct[i] += d
-		sb.Add(striped, i, d)
-	}
-	sb.Flush(striped)
-	for i := range direct {
-		if diff := direct[i] - striped[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("component %d: direct %g vs striped %g", i, direct[i], striped[i])
-		}
-	}
-	if sb.Pending() != 0 {
-		t.Errorf("pending %d after flush", sb.Pending())
-	}
-	if got := sb.Applied() + sb.Coalesced(); got != 10000 {
-		t.Errorf("applied %d + coalesced %d != 10000 adds", sb.Applied(), sb.Coalesced())
-	}
-	if sb.Coalesced() == 0 {
-		t.Error("hot components produced no coalescing")
-	}
-}
-
-// TestStripeBufferFlushOrderAscending: flushes land through Base in strictly
-// ascending index order — the stripe-ordered sweep the layout is for.
-func TestStripeBufferFlushOrderAscending(t *testing.T) {
-	rec := &recordingUpdater{}
-	w := make([]float64, 300)
-	sb := NewStripeBuffer(rec, 300, 1000) // window larger than the adds: manual flush
-	rng := rand.New(rand.NewSource(4))
-	for k := 0; k < 200; k++ {
-		sb.Add(w, rng.Intn(300), 1)
-	}
-	sb.Flush(w)
-	for k := 1; k < len(rec.idx); k++ {
-		if rec.idx[k] <= rec.idx[k-1] {
-			t.Fatalf("flush order not strictly ascending at %d: %d then %d",
-				k, rec.idx[k-1], rec.idx[k])
-		}
-	}
-	if sb.Flushes() != 1 {
-		t.Errorf("flushes = %d, want 1", sb.Flushes())
-	}
-}
-
-// TestStripeBufferWindowTriggersFlush: the window-th Add flushes inline.
-func TestStripeBufferWindowTriggersFlush(t *testing.T) {
-	rec := &recordingUpdater{}
-	w := make([]float64, 64)
-	sb := NewStripeBuffer(rec, 64, 8)
-	for k := 0; k < 7; k++ {
-		sb.Add(w, k, 1)
-	}
-	if len(rec.idx) != 0 {
-		t.Fatalf("premature flush after %d adds", len(rec.idx))
-	}
-	sb.Add(w, 7, 1)
-	if len(rec.idx) != 8 || sb.Pending() != 0 {
-		t.Fatalf("window flush: %d applied, %d pending", len(rec.idx), sb.Pending())
-	}
-}
-
-func TestStripeBufferCoalescingExact(t *testing.T) {
-	w := make([]float64, 64)
-	sb := NewStripeBuffer(RawUpdater{}, 64, 100)
-	for k := 0; k < 30; k++ {
-		sb.Add(w, k%3, 0.5) // 30 adds over 3 components
-	}
-	sb.Flush(w)
-	if sb.Applied() != 3 || sb.Coalesced() != 27 {
-		t.Errorf("applied/coalesced = %d/%d, want 3/27", sb.Applied(), sb.Coalesced())
-	}
-	for i := 0; i < 3; i++ {
-		if w[i] != 5 {
-			t.Errorf("w[%d] = %g, want 5", i, w[i])
-		}
-	}
-}
-
-func TestStripeBufferDefaultWindow(t *testing.T) {
-	sb := NewStripeBuffer(RawUpdater{}, 10, 0)
-	if sb.Window() != DefaultStripeWindow {
-		t.Errorf("window = %d, want DefaultStripeWindow", sb.Window())
-	}
-	// Empty flush is a no-op, not a counted flush.
-	sb.Flush(make([]float64, 10))
-	if sb.Flushes() != 0 {
-		t.Errorf("empty flush counted: %d", sb.Flushes())
-	}
-}
-
-func TestStripeBufferAddAllocFree(t *testing.T) {
-	w := make([]float64, 256)
-	sb := NewStripeBuffer(RawUpdater{}, 256, 64)
-	rng := rand.New(rand.NewSource(5))
-	idx := make([]int, 1024)
-	for k := range idx {
-		idx[k] = rng.Intn(256)
-	}
-	k := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		for j := 0; j < 64; j++ { // one full window incl. the inline flush
-			sb.Add(w, idx[(k+j)%len(idx)], 1e-9)
-		}
-		k++
-	})
-	if allocs != 0 {
-		t.Errorf("striped add/flush cycle allocates %v per window", allocs)
 	}
 }

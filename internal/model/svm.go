@@ -24,7 +24,7 @@ func (m *SVM) Name() string { return "svm" }
 func (m *SVM) NumParams() int { return m.Dim }
 
 // InitParams implements Model: zero initialisation (initial loss 1). The
-// vector is 64-byte aligned for the striped-Hogwild cache-line layout.
+// vector is 64-byte aligned (model stripe k = cache line k, see AlignedVec).
 func (m *SVM) InitParams(seed int64) []float64 { return AlignedVec(m.Dim) }
 
 // NewScratch implements Model; SVM needs no scratch.

@@ -146,13 +146,6 @@ const (
 	// CounterServeQuantBatches counts serving micro-batches scored through
 	// the int8 quantised path (vs the float64 path).
 	CounterServeQuantBatches
-	// CounterStripeFlushes counts striped-Hogwild micro-batch flushes
-	// (sort + coalesce + apply of one per-worker update window).
-	CounterStripeFlushes
-	// CounterStripeCoalesced counts updates the striped-Hogwild buffers
-	// merged into an earlier update of the same component — shared-line
-	// stores the unstriped path would have issued and this path did not.
-	CounterStripeCoalesced
 	// CounterPSPulls counts shard parameter pulls served by the parameter-
 	// server tier (internal/ps), cache fallbacks under partition excluded.
 	CounterPSPulls
@@ -251,10 +244,6 @@ func (c Counter) String() string {
 		return "serve_swaps"
 	case CounterServeQuantBatches:
 		return "serve_quant_batches"
-	case CounterStripeFlushes:
-		return "stripe_flushes"
-	case CounterStripeCoalesced:
-		return "stripe_coalesced"
 	case CounterPSPulls:
 		return "ps_pulls"
 	case CounterPSPushes:

@@ -15,10 +15,11 @@ import (
 
 // Default tuning of the modeled cluster. Time is counted in abstract work
 // units — one example gradient costs one unit, one pull or push round trip
-// costs RTT units — and converted to modeled seconds by SecPerUnit, the
-// same virtual-time style as the chaos scheduler. DefaultRTT = 50 makes a
-// 16-example batch against 4 shards spend ~96% of its time on the wire,
-// which is the regime where the sync/async transport contrast matters.
+// costs DefaultRTT units — and converted to modeled seconds by
+// DefaultSecPerUnit, the same virtual-time style as the chaos scheduler.
+// DefaultRTT = 50 makes a 16-example batch against 4 shards spend ~96% of
+// its time on the wire, which is the regime where the sync/async transport
+// contrast matters.
 const (
 	DefaultBatch      = 16
 	DefaultRTT        = 50.0
@@ -57,11 +58,6 @@ type Engine struct {
 	Shards int
 	// Batch is the examples per pull-compute-push cycle (DefaultBatch).
 	Batch int
-	// RTT is the modeled units one pull or push round trip costs
-	// (DefaultRTT); a gradient costs 1 unit per example.
-	RTT float64
-	// SecPerUnit converts work units to modeled seconds (DefaultSecPerUnit).
-	SecPerUnit float64
 	// Rec receives phase timings and the ps/chaos counters.
 	Rec obs.Recorder
 	// Chaos, when enabled, threads the fault plan through every worker's
@@ -151,12 +147,6 @@ func (e *Engine) prepareCore() {
 	}
 	if e.Batch < 1 {
 		e.Batch = DefaultBatch
-	}
-	if e.RTT <= 0 {
-		e.RTT = DefaultRTT
-	}
-	if e.SecPerUnit <= 0 {
-		e.SecPerUnit = DefaultSecPerUnit
 	}
 	e.perm = make([]int, e.Data.N())
 	for i := range e.perm {
@@ -316,7 +306,7 @@ func (e *Engine) processClaim(ws *workerState, t int) {
 // shortfall through CloseRound.
 func (e *Engine) runSync() float64 {
 	n := len(e.perm)
-	rtUnits := 2 * float64(e.sh.NumShards()) * e.RTT
+	rtUnits := 2 * float64(e.sh.NumShards()) * DefaultRTT
 	healthyRound := rtUnits + float64(e.Batch)
 	capU := math.Inf(1)
 	if e.Chaos.Enabled() && e.Chaos.Deadline >= 1 {
@@ -381,12 +371,12 @@ func (e *Engine) runSync() float64 {
 		e.Chaos.Injector().CountShortfall(missingTotal / int64(e.sh.NumShards()))
 	}
 	rec := obs.Or(e.Rec)
-	rec.Phase(obs.PhaseGradient, gradU*e.SecPerUnit)
-	rec.Phase(obs.PhaseUpdate, updU*e.SecPerUnit)
-	rec.Phase(obs.PhaseBarrier, (totalU-gradU-updU)*e.SecPerUnit)
+	rec.Phase(obs.PhaseGradient, gradU*DefaultSecPerUnit)
+	rec.Phase(obs.PhaseUpdate, updU*DefaultSecPerUnit)
+	rec.Phase(obs.PhaseBarrier, (totalU-gradU-updU)*DefaultSecPerUnit)
 	rec.Add(obs.CounterBatches, rounds)
 	rec.Add(obs.CounterWorkerUpdates, rounds)
-	return totalU * e.SecPerUnit
+	return totalU * DefaultSecPerUnit
 }
 
 // runAsync executes ceil(N/Batch) pull-compute-push claims dynamically off
@@ -397,7 +387,7 @@ func (e *Engine) runSync() float64 {
 func (e *Engine) runAsync() float64 {
 	n := len(e.perm)
 	tasks := (n + e.Batch - 1) / e.Batch
-	rtUnits := 2 * float64(e.sh.NumShards()) * e.RTT
+	rtUnits := 2 * float64(e.sh.NumShards()) * DefaultRTT
 	idealU := (float64(n) + float64(tasks)*rtUnits) / float64(e.Workers)
 	var next atomic.Int64
 	slow := 1.0
@@ -448,12 +438,12 @@ func (e *Engine) runAsync() float64 {
 	}
 	extraU := (slow - 1) * idealU
 	rec := obs.Or(e.Rec)
-	rec.Phase(obs.PhaseGradient, float64(n)/float64(e.Workers)*e.SecPerUnit)
-	rec.Phase(obs.PhaseUpdate, float64(tasks)*rtUnits/float64(e.Workers)*e.SecPerUnit)
+	rec.Phase(obs.PhaseGradient, float64(n)/float64(e.Workers)*DefaultSecPerUnit)
+	rec.Phase(obs.PhaseUpdate, float64(tasks)*rtUnits/float64(e.Workers)*DefaultSecPerUnit)
 	if extraU > 0 {
-		rec.Phase(obs.PhaseBarrier, extraU*e.SecPerUnit)
+		rec.Phase(obs.PhaseBarrier, extraU*DefaultSecPerUnit)
 	}
 	rec.Add(obs.CounterBatches, int64(tasks))
 	rec.Add(obs.CounterWorkerUpdates, int64(tasks))
-	return (idealU + extraU) * e.SecPerUnit
+	return (idealU + extraU) * DefaultSecPerUnit
 }

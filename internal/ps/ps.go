@@ -1,8 +1,8 @@
 // Package ps is the sharded parameter-server tier: the paper's central
 // sync/async contrast lifted out of one process and stretched across a
 // lossy transport. The model vector is split across S shards along the
-// 64-byte cache-line stripes of the striped-Hogwild layout (model.AlignedVec,
-// DESIGN §14), N workers pull shard parameters and push gradient
+// 64-byte cache-line stripes of an aligned model vector (model.AlignedVec),
+// N workers pull shard parameters and push gradient
 // contributions through a pluggable Transport, and the server aggregates
 // under one of two disciplines:
 //

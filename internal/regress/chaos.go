@@ -2,6 +2,7 @@ package regress
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -202,25 +203,16 @@ func nominalRun(rep ChaosConfigReport) *ChaosRun {
 	var best *ChaosRun
 	for i := range rep.Faulted {
 		r := &rep.Faulted[i]
-		if best == nil || abs(r.Intensity-1) < abs(best.Intensity-1) {
+		if best == nil || math.Abs(r.Intensity-1) < math.Abs(best.Intensity-1) {
 			best = r
 		}
 	}
 	return best
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// isSyncStrategy classifies a strategy for the contrast summary. Explicit
-// equality, not a suffix test: strings.HasSuffix("async", "sync") is true.
-func isSyncStrategy(s string) bool {
-	return s == "sync" || s == "ps-sync" || s == "local-sync" || s == "hetero-sync"
-}
+// isSyncStrategy classifies a strategy for the contrast summary: the
+// barriered rows of the strategy table are the fragile side.
+func isSyncStrategy(s string) bool { return strategies[s].sync }
 
 // Degradation runs the whole config set under the plan and summarises the
 // sync/async contrast at nominal intensity.

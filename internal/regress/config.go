@@ -73,55 +73,120 @@ type Config struct {
 	BaseSeed int64 `json:"base_seed"`
 }
 
-// Deterministic reports whether the config is gated on an exact golden
-// curve rather than a quantile envelope. Synchronous engines compute
-// identical updates on every backend (the ViennaCL property, asserted
-// bitwise by the core tests), the barriered ps tier drives its workers in a
-// fixed order, and barriered Local SGD advances only private replica state
-// between its averaging rounds; every asynchronous engine is gated
-// statistically, because with enough host cores its races are real
-// (local-async replays exactly per seed but draws a fresh schedule per
-// seed, so its multi-seed envelope is the meaningful gate). Synchronous
-// heterogeneous co-training is deterministic despite overlapping its two
-// backends — they write disjoint private vectors and merge in a fixed fold
-// order. Note the explicit equality — strings.HasSuffix would also match
-// "async"/"ps-async"/"local-async"/"hetero-async".
-func (c Config) Deterministic() bool {
-	return c.Strategy == "sync" || c.Strategy == "ps-sync" ||
-		c.Strategy == "local-sync" || c.Strategy == "hetero-sync"
+// strategy is one row of the strategy table — the single place that says, per
+// Strategy value, which device it runs on, which gate discipline it gets, how
+// its engine names the device axis, and how the engine is built. Build,
+// Fingerprint, Deterministic and the degradation contrast only read it, so
+// they cannot disagree.
+type strategy struct {
+	// device is the one device the strategy runs on; "" means any of the
+	// in-process devices, which build resolves (nil for one it does not know).
+	device string
+	// sync marks the barriered strategies: the deterministic ones, gated on an
+	// exact golden curve rather than a quantile envelope. Synchronous engines
+	// compute identical updates on every backend (the ViennaCL property,
+	// asserted bitwise by the core tests), the barriered ps tier drives its
+	// workers in a fixed order, barriered Local SGD advances only private
+	// replica state between averaging rounds, and synchronous heterogeneous
+	// co-training writes disjoint private vectors and merges in a fixed fold
+	// order. Every asynchronous engine is gated statistically, because with
+	// enough host cores its races are real (local-async and hetero-async
+	// replay exactly per seed but draw a fresh schedule per seed, so the
+	// multi-seed envelope is the meaningful gate).
+	sync bool
+	// needsH marks the Local-SGD strategies: H must be set.
+	needsH bool
+	// name renders the device axis the way the built engine's Name does, so
+	// the fingerprint matches what an attached recorder would report.
+	name func(c Config) string
+	// build constructs the engine.
+	build func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine
 }
+
+// strategies is keyed by the exact Strategy string (a suffix test would not
+// do: strings.HasSuffix("async", "sync") is true).
+var strategies = map[string]strategy{
+	"sync": {sync: true, name: inProcessName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
+		switch c.Device {
+		case "cpu-seq":
+			return core.NewSync(linalg.NewCPU(1), m, ds, c.Step)
+		case "cpu-par":
+			return core.NewSync(linalg.NewCPU(c.Threads), m, ds, c.Step)
+		case "gpu":
+			return core.NewSync(linalg.NewK80(), m, ds, c.Step)
+		}
+		return nil
+	}},
+	"async": {name: inProcessName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
+		switch c.Device {
+		case "cpu-seq":
+			return core.NewHogwild(m, ds, c.Step, 1)
+		case "cpu-par":
+			return core.NewHogwild(m, ds, c.Step, c.Threads)
+		case "gpu":
+			return core.NewGPUHogwild(m, ds, c.Step)
+		}
+		return nil
+	}},
+	"ps-sync": {device: "cluster", sync: true, name: clusterName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
+		return ps.NewEngine(ps.ModeSync, m, ds, c.Step, c.Threads, c.Shards)
+	}},
+	"ps-async": {device: "cluster", name: clusterName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
+		return ps.NewEngine(ps.ModeAsync, m, ds, c.Step, c.Threads, c.Shards)
+	}},
+	"local-sync": {device: "cpu-par", sync: true, needsH: true, name: localName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
+		return core.NewLocalSGD(m, ds, c.Step, c.Threads, c.H)
+	}},
+	"local-async": {device: "cpu-par", needsH: true, name: localName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
+		return core.NewAsyncLocalSGD(m, ds, c.Step, c.Threads, c.H)
+	}},
+	"hetero-sync": {device: "cpu+gpu", sync: true, name: heteroName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
+		return core.NewHetero(m, ds, c.Step, c.Threads)
+	}},
+	"hetero-async": {device: "cpu+gpu", name: heteroName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
+		return core.NewHeteroAsync(m, ds, c.Step, c.Threads)
+	}},
+}
+
+// inProcessName is the device axis of the in-process engines, and of any
+// strategy the table does not know (its fingerprint still has to print).
+func inProcessName(c Config) string {
+	switch c.Device {
+	case "cpu-par":
+		return fmt.Sprintf("cpu-par(%d)", c.Threads)
+	case "cluster":
+		return clusterName(c)
+	}
+	return c.Device
+}
+
+func clusterName(c Config) string { return fmt.Sprintf("cluster(s%dw%d)", c.Shards, c.Threads) }
+
+// localName renders replica count and averaging granularity (see
+// LocalSGDEngine.Name), both of which change the gated curve.
+func localName(c Config) string { return fmt.Sprintf("cpu-par(%d)h%d", c.Threads, c.H) }
+
+// heteroName renders the CPU replica count (see HeteroEngine.Name); the GPU
+// side is implied by the device.
+func heteroName(c Config) string { return fmt.Sprintf("cpu+gpu(%d)", c.Threads) }
+
+// Deterministic reports whether the config is gated on an exact golden
+// curve rather than a quantile envelope (see strategy.sync).
+func (c Config) Deterministic() bool { return strategies[c.Strategy].sync }
 
 // Fingerprint returns the golden-file key for this config.
 func (c Config) Fingerprint() core.Fingerprint {
+	name := inProcessName
+	if row, ok := strategies[c.Strategy]; ok {
+		name = row.name
+	}
 	return core.Fingerprint{
-		Engine:  c.Strategy + "/" + c.deviceName(),
+		Engine:  c.Strategy + "/" + name(c),
 		Model:   c.Task,
 		Dataset: c.Dataset,
 		N:       c.N,
 		Threads: c.Threads,
 		Seed:    c.BaseSeed,
-	}
-}
-
-// deviceName renders the device axis the way Engine.Name does, so the
-// fingerprint matches what an attached recorder would report.
-func (c Config) deviceName() string {
-	switch {
-	case c.Strategy == "local-sync" || c.Strategy == "local-async":
-		// The Local-SGD engines render replica count and averaging
-		// granularity (see LocalSGDEngine.Name), both of which change the
-		// gated curve.
-		return fmt.Sprintf("cpu-par(%d)h%d", c.Threads, c.H)
-	case c.Strategy == "hetero-sync" || c.Strategy == "hetero-async":
-		// The heterogeneous engines render the CPU replica count (see
-		// HeteroEngine.Name); the GPU side is implied by the device.
-		return fmt.Sprintf("cpu+gpu(%d)", c.Threads)
-	case c.Device == "cpu-par":
-		return fmt.Sprintf("cpu-par(%d)", c.Threads)
-	case c.Device == "cluster":
-		return fmt.Sprintf("cluster(s%dw%d)", c.Shards, c.Threads)
-	default:
-		return c.Device
 	}
 }
 
@@ -147,62 +212,20 @@ func (c Config) Build() (core.Engine, model.Model, *data.Dataset, error) {
 	default:
 		return nil, nil, nil, fmt.Errorf("regress: unknown task %q", c.Task)
 	}
-	switch c.Strategy {
-	case "sync":
-		var b linalg.Backend
-		switch c.Device {
-		case "cpu-seq":
-			b = linalg.NewCPU(1)
-		case "cpu-par":
-			b = linalg.NewCPU(c.Threads)
-		case "gpu":
-			b = linalg.NewK80()
-		default:
-			return nil, nil, nil, fmt.Errorf("regress: unknown device %q", c.Device)
-		}
-		return core.NewSync(b, m, ds, c.Step), m, ds, nil
-	case "async":
-		switch c.Device {
-		case "cpu-seq":
-			return core.NewHogwild(m, ds, c.Step, 1), m, ds, nil
-		case "cpu-par":
-			return core.NewHogwild(m, ds, c.Step, c.Threads), m, ds, nil
-		case "gpu":
-			return core.NewGPUHogwild(m, ds, c.Step), m, ds, nil
-		default:
-			return nil, nil, nil, fmt.Errorf("regress: unknown device %q", c.Device)
-		}
-	case "ps-sync", "ps-async":
-		if c.Device != "cluster" {
-			return nil, nil, nil, fmt.Errorf("regress: strategy %q requires the cluster device, got %q", c.Strategy, c.Device)
-		}
-		mode := ps.ModeSync
-		if c.Strategy == "ps-async" {
-			mode = ps.ModeAsync
-		}
-		return ps.NewEngine(mode, m, ds, c.Step, c.Threads, c.Shards), m, ds, nil
-	case "local-sync", "local-async":
-		if c.Device != "cpu-par" {
-			return nil, nil, nil, fmt.Errorf("regress: strategy %q requires the cpu-par device, got %q", c.Strategy, c.Device)
-		}
-		if c.H <= 0 {
-			return nil, nil, nil, fmt.Errorf("regress: strategy %q requires H > 0", c.Strategy)
-		}
-		if c.Strategy == "local-sync" {
-			return core.NewLocalSGD(m, ds, c.Step, c.Threads, c.H), m, ds, nil
-		}
-		return core.NewAsyncLocalSGD(m, ds, c.Step, c.Threads, c.H), m, ds, nil
-	case "hetero-sync", "hetero-async":
-		if c.Device != "cpu+gpu" {
-			return nil, nil, nil, fmt.Errorf("regress: strategy %q requires the cpu+gpu device, got %q", c.Strategy, c.Device)
-		}
-		if c.Strategy == "hetero-sync" {
-			return core.NewHetero(m, ds, c.Step, c.Threads), m, ds, nil
-		}
-		return core.NewHeteroAsync(m, ds, c.Step, c.Threads), m, ds, nil
-	default:
+	row, ok := strategies[c.Strategy]
+	switch {
+	case !ok:
 		return nil, nil, nil, fmt.Errorf("regress: unknown strategy %q", c.Strategy)
+	case row.device != "" && c.Device != row.device:
+		return nil, nil, nil, fmt.Errorf("regress: strategy %q requires the %s device, got %q", c.Strategy, row.device, c.Device)
+	case row.needsH && c.H <= 0:
+		return nil, nil, nil, fmt.Errorf("regress: strategy %q requires H > 0", c.Strategy)
 	}
+	e := row.build(c, m, ds)
+	if e == nil {
+		return nil, nil, nil, fmt.Errorf("regress: unknown device %q", c.Device)
+	}
+	return e, m, ds, nil
 }
 
 // DefaultMatrix is the paper's 8-way cube at gate scale: {sync, async} ×
@@ -258,31 +281,31 @@ func DefaultMatrix() []Config {
 // shard block), which is where shard-level aggregation differences show
 // first.
 func PSMatrix() []Config {
-	var out []Config
-	for _, strategy := range []string{"ps-sync", "ps-async"} {
-		c := Config{
-			Strategy: strategy,
-			Device:   "cluster",
-			Task:     "lr",
-			Dataset:  "covtype",
-			N:        400,
-			Threads:  4, // cluster workers
-			Shards:   4,
-			Epochs:   12,
-			Seeds:    5,
-			BaseSeed: 1,
-		}
-		if strategy == "ps-sync" {
-			// Mini-batch rounds (workers x batch examples per barrier) sit
-			// between full-batch GD and per-example SGD; the step follows.
-			c.Step = 0.5
-			c.Seeds = 1
-		} else {
-			c.Step = 0.3
-		}
-		out = append(out, c)
-	}
+	out := syncAsyncPair("ps-sync", "ps-async", Config{
+		Device:   "cluster",
+		Task:     "lr",
+		Dataset:  "covtype",
+		N:        400,
+		Threads:  4, // cluster workers
+		Shards:   4,
+		Step:     0.3,
+		Epochs:   12,
+		Seeds:    5,
+		BaseSeed: 1,
+	})
+	// Mini-batch rounds (workers x batch examples per barrier) sit between
+	// full-batch GD and per-example SGD; the step follows.
+	out[0].Step = 0.5
 	return out
+}
+
+// syncAsyncPair is base under a barriered strategy — a single seed, since it
+// replays exactly — and under its asynchronous twin.
+func syncAsyncPair(syncStrategy, asyncStrategy string, base Config) []Config {
+	s, a := base, base
+	s.Strategy, s.Seeds = syncStrategy, 1
+	a.Strategy = asyncStrategy
+	return []Config{s, a}
 }
 
 // LocalMatrix is the Local-SGD family at gate scale: 8 replicas averaging
@@ -293,27 +316,18 @@ func PSMatrix() []Config {
 // (private state between barriers) and gated on an exact golden; local-async
 // replays per seed but reschedules across seeds, so it carries an envelope.
 func LocalMatrix() []Config {
-	var out []Config
-	for _, strategy := range []string{"local-sync", "local-async"} {
-		c := Config{
-			Strategy: strategy,
-			Device:   "cpu-par",
-			Task:     "lr",
-			Dataset:  "w8a",
-			N:        400,
-			Threads:  8, // replicas
-			H:        4,
-			Step:     0.5,
-			Epochs:   12,
-			Seeds:    5,
-			BaseSeed: 1,
-		}
-		if strategy == "local-sync" {
-			c.Seeds = 1
-		}
-		out = append(out, c)
-	}
-	return out
+	return syncAsyncPair("local-sync", "local-async", Config{
+		Device:   "cpu-par",
+		Task:     "lr",
+		Dataset:  "w8a",
+		N:        400,
+		Threads:  8, // replicas
+		H:        4,
+		Step:     0.5,
+		Epochs:   12,
+		Seeds:    5,
+		BaseSeed: 1,
+	})
 }
 
 // HeteroMatrix is the heterogeneous CPU+GPU co-training family at gate
@@ -325,26 +339,17 @@ func LocalMatrix() []Config {
 // hetero-async blends apply-on-arrival on the virtual-time sequencer —
 // replayable per seed, rescheduled across seeds — and carries an envelope.
 func HeteroMatrix() []Config {
-	var out []Config
-	for _, strategy := range []string{"hetero-sync", "hetero-async"} {
-		c := Config{
-			Strategy: strategy,
-			Device:   "cpu+gpu",
-			Task:     "lr",
-			Dataset:  "w8a",
-			N:        400,
-			Threads:  8, // CPU replicas
-			Step:     0.5,
-			Epochs:   12,
-			Seeds:    5,
-			BaseSeed: 1,
-		}
-		if strategy == "hetero-sync" {
-			c.Seeds = 1
-		}
-		out = append(out, c)
-	}
-	return out
+	return syncAsyncPair("hetero-sync", "hetero-async", Config{
+		Device:   "cpu+gpu",
+		Task:     "lr",
+		Dataset:  "w8a",
+		N:        400,
+		Threads:  8, // CPU replicas
+		Step:     0.5,
+		Epochs:   12,
+		Seeds:    5,
+		BaseSeed: 1,
+	})
 }
 
 // FullMatrix is every gated configuration: the paper's in-process cube, the
