@@ -79,8 +79,9 @@ CHAOS_PLAN ?= storm
 chaos:
 	$(GO) run ./cmd/sgdchaos -plan $(CHAOS_PLAN) -out chaos-report.json
 
-# mdcheck verifies every relative link and heading anchor in the repo's
-# markdown docs (offline; external URLs are not fetched). Non-blocking in
+# mdcheck verifies every relative link, heading anchor and code-span
+# repository path in the repo's markdown docs (offline; external URLs are
+# not fetched). Non-blocking in
 # CI's lint job, but cheap enough to run before any docs commit.
 mdcheck:
 	$(GO) run ./cmd/mdcheck .

@@ -8,7 +8,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/gpusim"
 	"repro/internal/linalg"
-	"repro/internal/mf"
 	"repro/internal/model"
 )
 
@@ -143,43 +142,6 @@ func BenchmarkAblationWarpShuffle(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPerNode compares flat 56-thread Hogwild with the
-// DimmWitted PerNode replication on dense data (modeled iteration time).
-func BenchmarkAblationPerNode(b *testing.B) {
-	spec, _ := data.Lookup("covtype")
-	ds := data.Generate(spec.Scaled(1200.0 / float64(spec.N)))
-	m := model.NewLR(ds.D())
-	for i := 0; i < b.N; i++ {
-		flat := core.NewHogwild(m, ds, 0.01, 56)
-		per := core.NewReplicatedHogwild(m, ds, 0.01)
-		w1 := m.InitParams(1)
-		w2 := m.InitParams(1)
-		tf := flat.RunEpoch(w1)
-		tp := per.RunEpoch(w2)
-		b.ReportMetric(tf/tp, "pernode-iter-speedup")
-	}
-}
-
-// BenchmarkAblationQuantized compares raw against Buckwild-style quantized
-// Hogwild in reached loss after a fixed budget.
-func BenchmarkAblationQuantized(b *testing.B) {
-	spec, _ := data.Lookup("w8a")
-	ds := data.Generate(spec.Scaled(800.0 / float64(spec.N)))
-	m := model.NewLR(ds.D())
-	for i := 0; i < b.N; i++ {
-		raw := core.NewHogwild(m, ds, 0.5, 1)
-		qnt := core.NewHogwild(m, ds, 0.5, 1)
-		qnt.Updater = model.QuantizedUpdater{FracBits: 12}
-		w1 := m.InitParams(1)
-		w2 := m.InitParams(1)
-		for ep := 0; ep < 30; ep++ {
-			raw.RunEpoch(w1)
-			qnt.RunEpoch(w2)
-		}
-		b.ReportMetric(model.MeanLoss(m, w2, ds)-model.MeanLoss(m, w1, ds), "quantized-loss-gap")
-	}
-}
-
 // BenchmarkAblationSharedMemoryGPU compares the flat asynchronous GPU kernel
 // with the extended-version shared-memory replica variant on a small model.
 func BenchmarkAblationSharedMemoryGPU(b *testing.B) {
@@ -246,41 +208,6 @@ func BenchmarkAblationWarpLayout(b *testing.B) {
 		b.ReportMetric(float64(l1.LostIntra+l1.LostInter)/float64(l1.Updates)*100, "lane-lost-%")
 		b.ReportMetric(float64(l2.LostInter)/float64(l2.Updates)*100, "warp-lost-%")
 		b.ReportMetric(t2/t1, "warp-vs-lane-iter")
-	}
-}
-
-// BenchmarkAblationCyclades compares conflict-free (Cyclades) scheduling
-// against racy Hogwild on sparse data: near-Hogwild hardware efficiency with
-// sequential-equivalent statistics.
-func BenchmarkAblationCyclades(b *testing.B) {
-	spec, _ := data.Lookup("news")
-	ds := data.Generate(spec.Scaled(800.0 / float64(spec.N)))
-	m := model.NewLR(ds.D())
-	for i := 0; i < b.N; i++ {
-		cyc := core.NewCyclades(m, ds, 0.1, 56)
-		hog := core.NewHogwild(m, ds, 0.1, 56)
-		w1 := m.InitParams(1)
-		w2 := m.InitParams(1)
-		tc := cyc.RunEpoch(w1)
-		th := hog.RunEpoch(w2)
-		b.ReportMetric(tc/th, "cyclades-vs-hogwild-iter")
-		b.ReportMetric(cyc.Stats().MeanBatchLen, "mean-batch-len")
-	}
-}
-
-// BenchmarkExtensionMatrixFactorization trains the future-work MF model with
-// Hogwild and reports the reached MSE after a fixed budget.
-func BenchmarkExtensionMatrixFactorization(b *testing.B) {
-	spec := mf.NetflixLike(300, 150, 9000)
-	ds := mf.NewRatingsDataset(spec)
-	task := mf.NewMF(spec.Users, spec.Items, 8)
-	for i := 0; i < b.N; i++ {
-		e := core.NewHogwild(task, ds, 0.05, 8)
-		w := task.InitParams(1)
-		for ep := 0; ep < 30; ep++ {
-			e.RunEpoch(w)
-		}
-		b.ReportMetric(model.MeanLoss(task, w, ds), "mf-final-mse")
 	}
 }
 

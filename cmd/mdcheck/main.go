@@ -3,9 +3,12 @@
 // (default: the current directory), extracts inline links from every
 // .md file, and verifies that
 //
-//   - relative file links resolve to an existing file or directory, and
+//   - relative file links resolve to an existing file or directory,
 //   - fragment links (#section, FILE.md#section) name a real heading in
-//     the target document, using GitHub's heading-slug rules.
+//     the target document, using GitHub's heading-slug rules, and
+//   - code spans that start with a repository path (cmd/, internal/, ...)
+//     name one that exists under the scanned directory, so prose cannot
+//     keep citing deleted code.
 //
 // External links (http://, https://, mailto:) are not fetched — the tool
 // is offline by design so it can run in CI without network access.
@@ -14,8 +17,8 @@
 //
 //	mdcheck [-q] [path ...]
 //
-// Exit status is 0 when every link resolves, 1 when any link is broken,
-// 2 on usage errors.
+// Exit status is 0 when every link and path resolves, 1 when any is
+// broken, 2 on usage errors.
 package main
 
 import (
@@ -27,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		roots = []string{"."}
 	}
 
-	files, err := collect(roots)
+	files, base, err := collect(roots)
 	if err != nil {
 		fmt.Fprintf(stderr, "mdcheck: %v\n", err)
 		return 2
@@ -76,6 +80,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "%s:%d: %s\n", f, l.line, msg)
 			}
 		}
+		if pathExempt(base[f], f) {
+			continue
+		}
+		for _, sp := range docs[f].spans {
+			if msg := checkPath(base[f], sp.target); msg != "" {
+				broken++
+				fmt.Fprintf(stderr, "%s:%d: %s\n", f, sp.line, msg)
+			}
+		}
 	}
 	if !*quiet {
 		fmt.Fprintf(stdout, "mdcheck: %d files, %d links, %d broken\n",
@@ -89,24 +102,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // collect expands files and directories into a sorted list of .md paths,
 // skipping dot-directories (.git, .github holds no docs we link to by
-// heading) and vendor-style trees.
-func collect(roots []string) ([]string, error) {
-	seen := map[string]bool{}
-	var files []string
-	add := func(p string) {
+// heading) and vendor-style trees. base maps each file to the directory
+// its code-span paths resolve against: the directory root it was found
+// under, or its own directory when named directly.
+func collect(roots []string) (files []string, base map[string]string, err error) {
+	base = map[string]string{}
+	add := func(p, dir string) {
 		p = filepath.Clean(p)
-		if !seen[p] {
-			seen[p] = true
+		if _, seen := base[p]; !seen {
+			base[p] = dir
 			files = append(files, p)
 		}
 	}
 	for _, root := range roots {
 		info, err := os.Stat(root)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !info.IsDir() {
-			add(root)
+			add(root, filepath.Dir(root))
 			continue
 		}
 		err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -121,16 +135,16 @@ func collect(roots []string) ([]string, error) {
 				return nil
 			}
 			if strings.EqualFold(filepath.Ext(name), ".md") {
-				add(p)
+				add(p, root)
 			}
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	sort.Strings(files)
-	return files, nil
+	return files, base, nil
 }
 
 type link struct {
@@ -141,6 +155,7 @@ type link struct {
 type doc struct {
 	anchors map[string]bool
 	links   []link
+	spans   []link // inline code spans, target = the span's text
 }
 
 // linkRE matches inline links [text](target). Images ![alt](target) match
@@ -191,6 +206,9 @@ func parse(r io.Reader) (*doc, error) {
 				slugCount[s]++
 				continue
 			}
+		}
+		for _, m := range codeSpanRE.FindAllString(text, -1) {
+			d.spans = append(d.spans, link{target: strings.Trim(m, "`"), line: line})
 		}
 		clean := codeSpanRE.ReplaceAllString(text, "``")
 		for _, m := range linkRE.FindAllStringSubmatch(clean, -1) {
@@ -270,4 +288,49 @@ func check(file string, l link, docs map[string]*doc) string {
 		return fmt.Sprintf("broken anchor %q: no heading #%s in %s", t, frag, target)
 	}
 	return ""
+}
+
+// pathPrefixes mark a code span as naming a repository path.
+var pathPrefixes = []string{"cmd/", "./cmd/", "internal/", "examples/", "scripts/", "docs/"}
+
+// pathChecked names the root-level documents that describe the current
+// tree. Every other root-level document (CHANGES, ROADMAP, PAPERS,
+// SNIPPETS, ...) is history, a plan or other repositories' code, whose
+// code spans may cite paths that are gone or not yet written; documents
+// below the root are always checked.
+var pathChecked = map[string]bool{
+	"README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true, "PAPER.md": true,
+}
+
+// pathExempt reports whether f, found under root, skips the path rule.
+func pathExempt(root, f string) bool {
+	return filepath.Dir(f) == filepath.Clean(root) && !pathChecked[filepath.Base(f)]
+}
+
+var (
+	lineSuffixRE   = regexp.MustCompile(`:\d+(-\d+)?$`)
+	symbolSuffixRE = regexp.MustCompile(`\.[A-Z]\w*(\.\w+)*$`)
+)
+
+// checkPath resolves the path a code span starts with (its first word,
+// less a trailing :line) against dir; a glob must match something, and a
+// trailing .Symbol is accepted when the package directory exists. It
+// returns "" when the span names no repository path or an existing one.
+func checkPath(dir, span string) string {
+	fields := strings.Fields(span)
+	if len(fields) == 0 || !slices.ContainsFunc(pathPrefixes, func(p string) bool {
+		return strings.HasPrefix(fields[0], p)
+	}) {
+		return ""
+	}
+	p := lineSuffixRE.ReplaceAllString(fields[0], "")
+	if m, _ := filepath.Glob(filepath.Join(dir, filepath.FromSlash(p))); len(m) > 0 {
+		return ""
+	}
+	if loc := symbolSuffixRE.FindStringIndex(p); loc != nil {
+		if info, err := os.Stat(filepath.Join(dir, filepath.FromSlash(p[:loc[0]]))); err == nil && info.IsDir() {
+			return ""
+		}
+	}
+	return fmt.Sprintf("stale path %q: %s does not exist", span, p)
 }

@@ -103,6 +103,37 @@ func TestCodeFencesAndSpansIgnored(t *testing.T) {
 	}
 }
 
+func TestCodeSpanPaths(t *testing.T) {
+	cases := []struct {
+		name, doc, body string
+		want            int
+	}{
+		{"existing path", "docs/a.md", "See `internal/core/hogwild.go:42` and `./cmd/tool -flag x`.\n", 0},
+		{"missing path", "docs/a.md", "See `internal/gone` for the model.\n", 1},
+		{"package symbol", "docs/a.md", "See `internal/core.Engine` and `internal/core.Engine.RunEpoch`.\n", 0},
+		{"missing package symbol", "docs/a.md", "See `internal/gone.Engine`.\n", 1},
+		{"not a path", "docs/a.md", "Run `go run ./cmd/gone` or read `internal`.\n", 0},
+		{"exempt file", "CHANGES.md", "Deleted `internal/gone`.\n", 0},
+		{"checked root file", "README.md", "See `internal/gone`.\n", 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := writeDocs(t, map[string]string{
+				"internal/core/hogwild.go": "package core\n",
+				"cmd/tool/main.go":         "package main\n",
+				c.doc:                      "# T\n\n" + c.body,
+			})
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{dir}, &stdout, &stderr); code != c.want {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, c.want, stderr.String())
+			}
+			if c.want == 1 && !strings.Contains(stderr.String(), "stale path") {
+				t.Fatalf("stderr = %q", stderr.String())
+			}
+		})
+	}
+}
+
 func TestRepoDocsAreClean(t *testing.T) {
 	// The real gate: every markdown file in this repository must pass.
 	root, err := filepath.Abs("../..")
@@ -114,7 +145,7 @@ func TestRepoDocsAreClean(t *testing.T) {
 	}
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{root}, &stdout, &stderr); code != 0 {
-		t.Fatalf("repo docs have broken links (exit %d):\n%s", code, stderr.String())
+		t.Fatalf("repo docs have broken links or stale paths (exit %d):\n%s", code, stderr.String())
 	}
 }
 

@@ -69,8 +69,9 @@ func TestHogwildChaosReplayBitwise(t *testing.T) {
 }
 
 // TestHogwildChaosSlowdownAsymmetry checks the modeled-time story on the
-// engines themselves: the same 10x straggler stretches a Hogwild epoch by
-// ~N/((N-S)+S/F) but multiplies a Cyclades (barriered) epoch by ~F.
+// engines themselves: a 10x straggler stretches a Hogwild epoch only by
+// ~N/((N-S)+S/F). TestSyncChaosDeadline is the barriered side of the
+// asymmetry: the same straggler multiplies a sync epoch by ~F.
 func TestHogwildChaosSlowdownAsymmetry(t *testing.T) {
 	ds := chaosDataset(t)
 	plan := chaos.Plan{Name: "straggler", Stragglers: 1, StragglerFactor: 10}
@@ -91,22 +92,11 @@ func TestHogwildChaosSlowdownAsymmetry(t *testing.T) {
 
 	// The analytic stretch for 1-of-8 at 10x is ~1.13; on a 300-update
 	// epoch the straggler's final coarse claim adds a discretization tail,
-	// so allow up to 2x — the point is the asymmetry against the 10x the
-	// barriered engines pay below.
+	// so allow up to 2x — the point is the asymmetry against the 10x a
+	// barriered epoch pays.
 	ratio := faulted / healthy
 	if want := plan.AsyncSlowdown(8); ratio < want-0.05 || ratio > 2 {
 		t.Errorf("hogwild epoch stretched %.3fx, want within [%.3f, 2.0]", ratio, want)
-	}
-
-	cyc := NewCyclades(model.NewLR(ds.D()), ds, 0.1, 8)
-	wc := make([]float64, m.NumParams())
-	healthyCyc := cyc.RunEpoch(wc)
-	cyc2 := NewCyclades(model.NewLR(ds.D()), ds, 0.1, 8)
-	InjectChaos(cyc2, chaos.New(plan, 3))
-	wc2 := make([]float64, m.NumParams())
-	faultedCyc := cyc2.RunEpoch(wc2)
-	if r := faultedCyc / healthyCyc; r < 9 || r > 11 {
-		t.Errorf("cyclades (barriered) epoch stretched %.3fx, want ~10x", r)
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // plumbing lives here once; an engine embeds exactly the pieces it honours,
 // so implementing Instrumented, ChaosHost or Seeded is a statement about what
 // its epoch actually consults (SyncEngine and HogbatchEngine draw nothing
-// random and embed no shuffle; ReplicatedHogwildEngine cannot share one
-// controller between its inner engines and embeds no hooks).
+// random and embed no shuffle).
 
 // hooks carries the recorder and the fault controller of one engine.
 type hooks struct {

@@ -197,6 +197,21 @@ func TestHogwildSparseParallelModeledFaster(t *testing.T) {
 	}
 }
 
+func TestHogwildEmulatedMatchesThreadsSemantics(t *testing.T) {
+	// The staleness emulation must process every example exactly once
+	// per epoch and keep the model finite.
+	ds, _ := smallDataset(t, "w8a", 500)
+	m := model.NewLR(ds.D())
+	e := NewHogwild(m, ds, 0.5, 56) // forced into emulation on small hosts
+	w := m.InitParams(1)
+	before := model.MeanLoss(m, w, ds)
+	e.RunEpoch(w)
+	after := model.MeanLoss(m, w, ds)
+	if math.IsNaN(after) || after >= before {
+		t.Fatalf("emulated epoch loss %v -> %v", before, after)
+	}
+}
+
 func TestGPUHogwildConverges(t *testing.T) {
 	ds, _ := smallDataset(t, "w8a", 600)
 	m := model.NewLR(ds.D())

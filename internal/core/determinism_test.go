@@ -67,13 +67,6 @@ func TestDeterministicReplaySync(t *testing.T) {
 	expectIdentical(t, "sync", w1, w2)
 }
 
-func TestDeterministicReplayCyclades(t *testing.T) {
-	ds, _ := smallDataset(t, "news", 300)
-	m := model.NewLR(ds.D())
-	w1, w2 := runTwice(t, func() Engine { return NewCyclades(m, ds, 0.1, 56) }, m, 3)
-	expectIdentical(t, "cyclades", w1, w2)
-}
-
 func TestShuffleSeedChangesTrajectory(t *testing.T) {
 	ds, _ := smallDataset(t, "w8a", 400)
 	m := model.NewLR(ds.D())

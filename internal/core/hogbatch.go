@@ -68,11 +68,6 @@ type HogbatchEngine struct {
 	// serialisation) — the quantity that actually decides that table.
 	// NewHogbatch sets these defaults per mode.
 	PerBatchOverhead float64
-	// Updater selects the write discipline the concurrent batch workers
-	// land the dense gradient with (nil = model.RawUpdater, the classic
-	// Hogwild-batch benign race). Set model.AtomicUpdater (or a counting
-	// variant) to measure lock-free batch application.
-	Updater model.Updater
 
 	cost     *numa.Model
 	seqBack  linalg.Backend
@@ -86,14 +81,6 @@ type HogbatchEngine struct {
 	workerSec  []float64   // per-worker meter deltas of one epoch
 	pendingG   [][]float64 // emulated-pipeline in-flight gradients
 	freeG      [][]float64 // gradient freelist for the emulated pipeline
-}
-
-// updater resolves the write discipline (nil = raw stores).
-func (e *HogbatchEngine) updater() model.Updater {
-	if e.Updater != nil {
-		return e.Updater
-	}
-	return model.RawUpdater{}
 }
 
 // NewHogbatch builds the engine for the given mode with paper defaults.
@@ -151,11 +138,12 @@ func (e *HogbatchEngine) batchRows(rows []int, k int) []int {
 	return rows
 }
 
-// applyGrad lands the dense batch gradient g through upd, skipping zeros.
-func applyGrad(upd model.Updater, w, g []float64, step float64) {
+// applyGrad lands the dense batch gradient g with plain stores (the
+// Hogwild-batch benign race), skipping zeros.
+func applyGrad(w, g []float64, step float64) {
 	for j, gv := range g {
 		if gv != 0 {
-			upd.Add(w, j, -step*gv)
+			w[j] += -step * gv
 		}
 	}
 }
@@ -274,7 +262,6 @@ func (e *HogbatchEngine) runParallel(w []float64) float64 {
 			start := bk.Meter().Seconds()
 			g := e.workerG[p]
 			rows := e.workerRows[p][:0]
-			upd := e.updater()
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= nb {
@@ -282,7 +269,7 @@ func (e *HogbatchEngine) runParallel(w []float64) float64 {
 				}
 				rows = e.batchRows(rows, k)
 				e.Model.BatchGrad(bk, w, e.Data, rows, g)
-				applyGrad(upd, w, g, e.Step)
+				applyGrad(w, g, e.Step)
 			}
 			e.workerRows[p] = rows
 			e.workerSec[p] = bk.Meter().Seconds() - start
@@ -311,7 +298,6 @@ func (e *HogbatchEngine) runParallelChaos(w []float64) float64 {
 		start := bk.Meter().Seconds()
 		g := e.workerG[p]
 		rows := e.workerRows[p][:0]
-		upd := e.updater()
 		for {
 			k := int(next.Add(1)) - 1
 			if k >= nb {
@@ -320,7 +306,7 @@ func (e *HogbatchEngine) runParallelChaos(w []float64) float64 {
 			rows = e.batchRows(rows, k)
 			e.Model.BatchGrad(bk, cw.View(w), e.Data, rows, g)
 			for t := fateTimes(cw.Fate()); t > 0; t-- {
-				applyGrad(upd, w, g, e.Step)
+				applyGrad(w, g, e.Step)
 			}
 			cw.Step()
 		}
@@ -379,9 +365,8 @@ func (e *HogbatchEngine) runEmulatedParallel(w []float64, nb int) float64 {
 	// buffers (the seed allocated one full model-sized vector per batch).
 	queue := e.pendingG[:0]
 	head := 0
-	upd := e.updater()
 	apply := func(g []float64) {
-		applyGrad(upd, w, g, e.Step)
+		applyGrad(w, g, e.Step)
 		e.freeG = append(e.freeG, g)
 	}
 	rec, _ := e.recorder()

@@ -2,23 +2,16 @@ package model
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/sparse"
 )
 
-// This file holds the two low-precision paths of the repo:
-//
-//   - QuantizedWeights: an int8 + per-stripe-scale *inference* representation
-//     of a trained float64 vector, scored by the serving tier. The win is
-//     memory locality — the int8 vector is 8x smaller than the float64 one,
-//     so a model that spills the L2 cache in float64 stays resident in int8
-//     (see DESIGN §14).
-//   - QuantizedUpdater: Buckwild-style low-precision *training* updates
-//     (De Sa et al.; the paper's Section VI future-work direction), with an
-//     optional seeded stochastic-rounding mode that keeps the quantised
-//     gradient unbiased.
+// This file holds the repo's low-precision path, QuantizedWeights: an int8 +
+// per-stripe-scale *inference* representation of a trained float64 vector,
+// scored by the serving tier. The win is memory locality — the int8 vector is
+// 8x smaller than the float64 one, so a model that spills the L2 cache in
+// float64 stays resident in int8 (see DESIGN §14).
 
 // QuantStripe is the number of int8 weights sharing one quantisation scale:
 // 64 int8 values occupy exactly one 64-byte cache line, so a stripe's
@@ -167,83 +160,3 @@ type QuantScorer interface {
 	// quantised weights. It must be safe for concurrent use, like Score.
 	QuantScore(qw *QuantizedWeights, ds *data.Dataset, i int) float64
 }
-
-// StochasticRounder is a deterministic, seeded source of rounding decisions
-// for QuantizedUpdater's stochastic mode. The stream is an atomic counter
-// hashed through splitmix64, so concurrent updaters draw race-free,
-// reproducible variates: a serial replay with the same seed makes identical
-// decisions, while concurrent runs stay well-defined (the interleaving of
-// counter draws is scheduling-dependent, exactly like Hogwild itself).
-type StochasticRounder struct {
-	seed uint64
-	ctr  atomic.Uint64
-}
-
-// NewStochasticRounder returns a rounder with the given seed.
-func NewStochasticRounder(seed int64) *StochasticRounder {
-	return &StochasticRounder{seed: uint64(seed)}
-}
-
-// uniform draws the next U[0,1) variate from the counter-hashed stream.
-func (r *StochasticRounder) uniform() float64 {
-	x := r.seed + r.ctr.Add(1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
-}
-
-// QuantizedUpdater applies updates at reduced precision — the Buckwild-style
-// low-precision asynchronous SGD the paper lists as future work (Section VI;
-// De Sa et al., ISCA 2017). Each delta is quantised to FracBits fractional
-// bits of fixed point before the (otherwise raw) store; the model itself
-// stays float64 so the engines are interchangeable.
-//
-// With Rounder == nil the quantisation is round-to-nearest, which silently
-// drops any delta smaller than half a quantisation step — late in training,
-// when gradients shrink, that bias stalls convergence. With a Rounder the
-// delta is stochastically rounded to one of the two adjacent grid points
-// with probability proportional to proximity, making the quantised update
-// unbiased: a delta of 0.25 steps lands as a full step 25% of the time and
-// zero otherwise, so the *expected* update is exact (true Buckwild
-// rounding).
-type QuantizedUpdater struct {
-	// FracBits is the number of fractional bits kept (e.g. 16 for a
-	// 16.16-style representation). Values <= 0 behave like RawUpdater.
-	FracBits int
-	// Rounder, when non-nil, switches from round-to-nearest to stochastic
-	// rounding driven by the rounder's deterministic seeded stream.
-	Rounder *StochasticRounder
-}
-
-// NewStochasticQuantized returns a stochastic-rounding updater with its own
-// seeded rounder.
-func NewStochasticQuantized(fracBits int, seed int64) QuantizedUpdater {
-	return QuantizedUpdater{FracBits: fracBits, Rounder: NewStochasticRounder(seed)}
-}
-
-// Add implements Updater with fixed-point quantisation of the delta:
-// round-to-nearest by default, stochastic rounding when a Rounder is set.
-func (q QuantizedUpdater) Add(w []float64, i int, delta float64) {
-	if q.FracBits > 0 {
-		scale := math.Ldexp(1, q.FracBits) // 2^FracBits
-		v := delta * scale
-		if q.Rounder != nil {
-			f := math.Floor(v)
-			if frac := v - f; frac > 0 && q.Rounder.uniform() < frac {
-				f++
-			}
-			delta = f / scale
-		} else {
-			delta = math.Round(v) / scale
-		}
-		if delta == 0 {
-			return // underflowed the representable grid: update dropped
-		}
-	}
-	w[i] += delta
-}
-
-var _ Updater = QuantizedUpdater{}

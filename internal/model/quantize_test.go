@@ -95,99 +95,3 @@ func TestQuantScoreLinearModels(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantizedUpdaterNearestDropsUnderflow pins the round-to-nearest
-// failure mode the stochastic mode exists to fix: a delta below half a
-// quantisation step is dropped entirely.
-func TestQuantizedUpdaterNearestDropsUnderflow(t *testing.T) {
-	u := QuantizedUpdater{FracBits: 8} // grid step 1/256
-	w := make([]float64, 1)
-	u.Add(w, 0, 1.0/1024) // quarter of a step
-	if w[0] != 0 {
-		t.Errorf("sub-half-step delta not dropped: w[0] = %g", w[0])
-	}
-	u.Add(w, 0, 3.0/512) // 1.5 steps -> rounds to nearest even grid point
-	if want := math.Round(3.0/512*256) / 256; w[0] != want {
-		t.Errorf("w[0] = %g, want %g", w[0], want)
-	}
-}
-
-// TestStochasticRoundingUnbiased checks the Buckwild property: over many
-// draws, the mean applied update of a sub-step delta approaches the true
-// delta instead of zero.
-func TestStochasticRoundingUnbiased(t *testing.T) {
-	u := NewStochasticQuantized(8, 42)
-	const delta = 1.0 / 1024 // 0.25 quantisation steps
-	const n = 200000
-	w := make([]float64, 1)
-	for i := 0; i < n; i++ {
-		u.Add(w, 0, delta)
-	}
-	mean := w[0] / n
-	// Each applied update is 0 or 1/256 with P(step) = 0.25; the mean has
-	// stderr step*sqrt(p(1-p)/n) ~ 3.8e-6. 5 sigma.
-	if math.Abs(mean-delta) > 5*(1.0/256)*math.Sqrt(0.25*0.75/n) {
-		t.Errorf("stochastic mean %g too far from true delta %g", mean, delta)
-	}
-	// Round-to-nearest over the same stream applies exactly nothing.
-	rn := QuantizedUpdater{FracBits: 8}
-	w2 := make([]float64, 1)
-	for i := 0; i < 1000; i++ {
-		rn.Add(w2, 0, delta)
-	}
-	if w2[0] != 0 {
-		t.Errorf("round-to-nearest applied %g, want 0", w2[0])
-	}
-}
-
-func TestStochasticRounderDeterministic(t *testing.T) {
-	a := NewStochasticRounder(7)
-	b := NewStochasticRounder(7)
-	for i := 0; i < 100; i++ {
-		va, vb := a.uniform(), b.uniform()
-		if va != vb {
-			t.Fatalf("draw %d: %g != %g under the same seed", i, va, vb)
-		}
-		if va < 0 || va >= 1 {
-			t.Fatalf("draw %d: %g outside [0,1)", i, va)
-		}
-	}
-	if c := NewStochasticRounder(8).uniform(); c == NewStochasticRounder(7).uniform() {
-		t.Error("different seeds produced an identical first draw")
-	}
-}
-
-// TestQuantizedUpdaterGridAlignment: every applied delta is an exact
-// multiple of the grid step, and exact-grid deltas pass through unchanged
-// under both modes.
-func TestQuantizedUpdaterGridAlignment(t *testing.T) {
-	for _, u := range []QuantizedUpdater{
-		{FracBits: 10},
-		NewStochasticQuantized(10, 3),
-	} {
-		w := make([]float64, 1)
-		u.Add(w, 0, 5.0/1024)
-		if w[0] != 5.0/1024 {
-			t.Errorf("exact grid delta perturbed: %g", w[0])
-		}
-		rng := rand.New(rand.NewSource(11))
-		for i := 0; i < 100; i++ {
-			before := w[0]
-			u.Add(w, 0, rng.NormFloat64())
-			applied := w[0] - before
-			steps := applied * 1024
-			if math.Abs(steps-math.Round(steps)) > 1e-9 {
-				t.Fatalf("applied delta %g is not grid-aligned", applied)
-			}
-		}
-	}
-}
-
-func TestQuantizedUpdaterZeroFracBitsIsRaw(t *testing.T) {
-	u := QuantizedUpdater{}
-	w := make([]float64, 1)
-	u.Add(w, 0, 0.123456789)
-	if w[0] != 0.123456789 {
-		t.Errorf("FracBits<=0 should pass through exactly, got %g", w[0])
-	}
-}

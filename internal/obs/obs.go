@@ -44,7 +44,7 @@ const (
 	PhaseUpdate
 	// PhaseBarrier is synchronisation and dispatch: per-epoch primitive
 	// management of the synchronous engines, per-batch dispatch overhead,
-	// kernel launches, Cyclades batch barriers.
+	// kernel launches, replica-merge and parameter-server round waits.
 	PhaseBarrier
 	// PhaseLossEval is the between-epoch loss evaluation (excluded from
 	// modeled time per the paper's methodology).

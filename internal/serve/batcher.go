@@ -320,6 +320,14 @@ func (c *Core) flush(batch []*request, arena *batchArena, task *scoreTask, score
 	if oldest < 0 {
 		oldest = 0
 	}
+	// Count the batch before completing its requests, so every counter a
+	// caller can observe is final when its reply arrives.
+	c.stats.batches.Add(1)
+	c.stats.batchSize.Record(float64(n))
+	c.stats.queueSum.Add(int64(depth))
+	if qw != nil {
+		c.stats.quantBatches.Add(1)
+	}
 	for i, r := range batch {
 		fault := ""
 		if c.faults.dropped(stream) {
@@ -357,16 +365,12 @@ func (c *Core) flush(batch []*request, arena *batchArena, task *scoreTask, score
 		}
 		r.done <- struct{}{}
 	}
-	c.stats.batches.Add(1)
-	c.stats.batchSize.Record(float64(n))
-	c.stats.queueSum.Add(int64(depth))
 
 	c.rec.Phase(obs.PhaseBarrier, oldest.Seconds())
 	c.rec.Phase(obs.PhaseGradient, compute.Seconds())
 	c.rec.Add(obs.CounterServeRequests, int64(n))
 	c.rec.Add(obs.CounterServeBatches, 1)
 	if qw != nil {
-		c.stats.quantBatches.Add(1)
 		c.rec.Add(obs.CounterServeQuantBatches, 1)
 	}
 	if sn.Version > lastVer {

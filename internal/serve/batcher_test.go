@@ -40,6 +40,10 @@ func TestDeadlineFlushBoundsLatency(t *testing.T) {
 		if elapsed > maxDelay+slack {
 			t.Fatalf("request %d waited %v, exceeding MaxDelay %v + slack %v", i, elapsed, maxDelay, slack)
 		}
+		// A reply arrives only after its batch is counted.
+		if got := c.Stats().Snapshot().Batches; got < int64(i+1) {
+			t.Fatalf("after reply %d Stats counts %d batches, want >= %d", i+1, got, i+1)
+		}
 	}
 	rep := c.Stats().Snapshot()
 	if rep.Batches != 5 || rep.Requests != 5 || rep.AvgBatch != 1 {
