@@ -135,3 +135,5 @@ fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/data
 	$(GO) test -fuzz FuzzCSRBuilder -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/sparse
 	$(GO) test -fuzz FuzzPSFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/ps
+	$(GO) test -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/obs
+	$(GO) test -fuzz FuzzParseObjectives -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/span

@@ -19,16 +19,14 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -87,22 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	h := bench.New(opts)
 
 	if *debugAddr != "" {
-		// expvar and net/http/pprof register on the default mux; add the
-		// Prometheus-style snapshot of the harness aggregator next to them.
-		// Publish panics on a duplicate name, so re-entrant runs (tests)
-		// keep the first registration.
-		if expvar.Get("sgd_obs") == nil {
-			expvar.Publish("sgd_obs", expvar.Func(h.Aggregator().Export))
+		addr, err := obs.ServeDebug(*debugAddr, h.Aggregator())
+		if err != nil {
+			fmt.Fprintf(stderr, "sgdbench: debug server: %v\n", err)
+			h.Close()
+			return 1
 		}
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			fmt.Fprint(w, h.Aggregator().Snapshot())
-		})
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintf(stderr, "sgdbench: debug server: %v\n", err)
-			}
-		}()
+		fmt.Fprintf(stderr, "sgdbench: debug server on %s\n", addr)
 	}
 
 	runOne := func(name string) bool {

@@ -29,11 +29,12 @@
 //
 // Endpoints: POST /predict, GET /healthz, /stats, /slo, /metrics (serving
 // stats plus the training aggregator's families). -debug-addr additionally
-// serves expvar ("sgd_obs") and net/http/pprof like the other binaries;
-// -trace streams one JSONL event per dispatched micro-batch for cmd/sgdtrace.
+// serves expvar ("sgd_obs"), net/http/pprof and the aggregator's /metrics
+// on a second listener (obs.ServeDebug, shared with sgdbench); -trace
+// streams one JSONL event per dispatched micro-batch for cmd/sgdtrace.
 //
 // -spans enables request-level span tracing (internal/span): kept traces
-// stream to the given JSONL path for cmd/sgdspan, head-sampled at -sample
+// stream to the given JSONL path for cmd/sgdtrace, head-sampled at -sample
 // with tail retention of traces slower than -slow (errored and chaos-faulted
 // requests are always kept). -slo names burn-rate objectives; the evaluation
 // is served at /slo and exported to /metrics, alerting when both the -slo-fast
@@ -45,12 +46,9 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -151,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tracer *span.Tracer
 	var spanW *span.Writer
 	if *spansPath != "" {
-		spanW, err = span.CreateWriter(*spansPath)
+		spanW, err = obs.CreateJSONL[span.TraceRec](*spansPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "sgdserve: %v\n", err)
 			return 1
@@ -184,13 +182,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rec := agg.Run("serve", spec.Name)
 	var trace *obs.TraceWriter
 	if *tracePath != "" {
-		trace, err = obs.CreateTrace(*tracePath)
+		trace, err = obs.CreateJSONL[obs.Event](*tracePath)
 		if err != nil {
 			fmt.Fprintf(stderr, "sgdserve: %v\n", err)
 			return 1
 		}
 		defer trace.Close()
-		rec = obs.Tee(rec, trace.Run("serve", spec.Name))
+		rec = obs.Tee(rec, obs.TraceRun(trace, "serve", spec.Name))
 	}
 
 	eng := core.NewHogwild(m, ds, *step, *threads)
@@ -239,6 +237,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logf("model %s cannot score quantised; serving float64", *modelName)
 	}
 
+	if *debugAddr != "" {
+		addr, err := obs.ServeDebug(*debugAddr, agg)
+		if err != nil {
+			fmt.Fprintf(stderr, "sgdserve: debug server: %v\n", err)
+			return 1
+		}
+		logf("debug server on %s", addr)
+	}
+
 	stopTrainer := make(chan struct{})
 	trainerDone := make(chan struct{})
 	if *train && *snapshotPath == "" {
@@ -268,17 +275,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		boundAddr, cfg.MaxBatch, cfg.MaxDelay, cfg.QueueDepth, cfg.Workers, scoringPath)
 	if plan.Active() {
 		logf("fault plan active: %s", plan)
-	}
-
-	if *debugAddr != "" {
-		if expvar.Get("sgd_obs") == nil {
-			expvar.Publish("sgd_obs", expvar.Func(agg.Export))
-		}
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintf(stderr, "sgdserve: debug server: %v\n", err)
-			}
-		}()
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/span"
 )
 
@@ -141,7 +143,7 @@ func TestRunSpansAndSLOSmoke(t *testing.T) {
 	if !strings.Contains(out, "slo latency") || !strings.Contains(out, "ok") {
 		t.Errorf("slo summary missing:\n%s", out)
 	}
-	recs, err := span.ReadFile(spansPath)
+	recs, err := obs.ReadJSONLFile[span.TraceRec](spansPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,5 +269,41 @@ func TestRunSnapshotDimMismatch(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "weights") {
 		t.Errorf("unhelpful error: %s", stderr.String())
+	}
+}
+
+// TestRunDebugAddrTwice: the -debug-addr listener serves the aggregator
+// /metrics its help text promises, next to expvar and pprof, from a mux of
+// its own — so a second in-process run starts its own without a panic.
+func TestRunDebugAddrTwice(t *testing.T) {
+	addrRE := regexp.MustCompile(`debug server on (\S+)`)
+	for i := 0; i < 2; i++ {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{
+			"-addr", "127.0.0.1:0", "-maxn", "300", "-pretrain", "1",
+			"-serve-for", "50ms", "-debug-addr", "127.0.0.1:0",
+		}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("run %d: exit %d, stderr:\n%s", i, code, stderr.String())
+		}
+		m := addrRE.FindStringSubmatch(stderr.String())
+		if m == nil {
+			t.Fatalf("run %d: no debug address logged:\n%s", i, stderr.String())
+		}
+		for path, want := range map[string]string{
+			"/metrics":      "# TYPE sgd_epochs_total counter",
+			"/debug/vars":   `"sgd_obs"`,
+			"/debug/pprof/": "goroutine",
+		} {
+			resp, err := http.Get("http://" + m[1] + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+				t.Fatalf("run %d: GET %s = %d, want 200 containing %q:\n%s", i, path, resp.StatusCode, want, body)
+			}
+		}
 	}
 }

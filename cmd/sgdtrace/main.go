@@ -1,30 +1,39 @@
-// Command sgdtrace inspects JSONL observability traces produced by the bench
-// harness (bench.Options.TracePath / sgdbench -trace): it replays the events
-// through the same aggregator the live harness uses and prints per-engine
-// phase breakdowns, counter summaries and derived rates.
+// Command sgdtrace is the one inspector for both JSONL trace formats.
+//
+// Epoch traces (bench.Options.TracePath / sgdbench -trace, sgdserve -trace)
+// are replayed through the same aggregator the live harness uses, printing
+// per-engine phase breakdowns, counter summaries and derived rates.
+//
+// Span traces (internal/span JSONL: sgdserve -spans or an in-process tracer)
+// answer "where did the p99 go?": the per-span attribution table
+// (p50/p99/max/total per span name), the tail-attribution verdict — what
+// fraction of p99+ request wall time is covered by named spans, with the
+// unattributed remainder reported explicitly — and critical-path waterfalls
+// for the worst-N traces.
 //
 // Usage:
 //
 //	sgdtrace [-engine async] [-dataset w8a] [-prom] trace.jsonl [more.jsonl...]
-//	sgdtrace -spans spans.jsonl [more.jsonl...]
+//	sgdtrace [-spans] [-top 12] [-worst 3] [-keep fault] [-min-attrib 0.95] [-json] spans.jsonl [more.jsonl...]
 //
-// Pass "-" to read a trace from stdin. With -prom the aggregate is printed in
-// the Prometheus text exposition format instead of the summary tables. With
-// -spans the inputs are request-level span traces (internal/span JSONL, the
-// sgdserve -spans export) and the summary is span counts, tree depth and the
-// top spans by total time; span files are also auto-detected by sniffing the
-// first line, so one inspector covers both trace formats. cmd/sgdspan is the
-// deeper span analyzer (waterfalls, attribution, worst-N exemplars).
+// Pass "-" to read from stdin. Span files are detected by sniffing the first
+// line; -spans forces span mode (needed for stdin). With -prom the epoch
+// aggregate is printed in the Prometheus text exposition format instead of
+// the summary tables. In span mode -min-attrib makes the exit status a gate:
+// nonzero when tail attribution falls below the floor, which is how the
+// span-smoke CI job asserts the serve path stays explainable.
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"regexp"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/span"
@@ -32,6 +41,14 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// spanFlags are the span-mode options.
+type spanFlags struct {
+	top, worst int
+	keep       string
+	minAttrib  float64
+	json       bool
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -42,9 +59,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		dataset = fs.String("dataset", "", "keep only events whose dataset name contains this (at a word boundary)")
 		prom    = fs.Bool("prom", false, "print the Prometheus text snapshot instead of summary tables")
 		spans   = fs.Bool("spans", false, "treat inputs as request-level span traces (auto-detected for files)")
+		sf      spanFlags
 	)
+	fs.IntVar(&sf.top, "top", 12, "span mode: span names to show in the attribution table")
+	fs.IntVar(&sf.worst, "worst", 3, "span mode: worst-N traces to render as waterfalls (0 = none)")
+	fs.StringVar(&sf.keep, "keep", "", "span mode: only analyze traces kept for this reason (head, slow, fault, error)")
+	fs.Float64Var(&sf.minAttrib, "min-attrib", 0, "span mode: fail (exit 1) when p99 tail attribution is below this fraction")
+	fs.BoolVar(&sf.json, "json", false, "span mode: emit the analysis as JSON instead of tables")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: sgdtrace [flags] trace.jsonl [more.jsonl...]\n")
+		fmt.Fprintf(stderr, "usage: sgdtrace [flags] trace.jsonl|spans.jsonl [more.jsonl...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -55,31 +78,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *spans || (fs.Arg(0) != "-" && sniffSpans(fs.Arg(0))) {
-		return runSpans(fs.Args(), stdin, stdout, stderr)
+		return runSpans(fs.Args(), sf, stdin, stdout, stderr)
 	}
 
+	events, err := readAll[obs.Event](fs.Args(), stdin)
+	if err != nil {
+		fmt.Fprintf(stderr, "sgdtrace: %v\n", err)
+		return 1
+	}
 	agg := obs.NewAggregator()
-	var total, kept int
-	for _, path := range fs.Args() {
-		var events []obs.Event
-		var err error
-		if path == "-" {
-			events, err = obs.ReadTrace(stdin)
-		} else {
-			events, err = obs.ReadTraceFile(path)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "sgdtrace: %v\n", err)
-			return 1
-		}
-		for _, ev := range events {
-			total++
-			if *engine != "" && !matchName(ev.Engine, *engine) {
-				continue
-			}
-			if *dataset != "" && !matchName(ev.Dataset, *dataset) {
-				continue
-			}
+	engineRE, datasetRE := wordPrefix(*engine), wordPrefix(*dataset)
+	kept := 0
+	for _, ev := range events {
+		if engineRE.MatchString(ev.Engine) && datasetRE.MatchString(ev.Dataset) {
 			kept++
 			agg.AddEvent(ev)
 		}
@@ -89,9 +100,28 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, agg.Snapshot())
 		return 0
 	}
-	fmt.Fprintf(stdout, "%d events read, %d after filters, %d runs\n\n", total, kept, len(agg.Runs()))
+	fmt.Fprintf(stdout, "%d events read, %d after filters, %d runs\n\n", len(events), kept, len(agg.Runs()))
 	fmt.Fprint(stdout, agg.Summary())
 	return 0
+}
+
+// readAll reads every input ("-" = stdin) as one JSONL record stream.
+func readAll[T any](paths []string, stdin io.Reader) ([]T, error) {
+	var out []T
+	for _, path := range paths {
+		var recs []T
+		var err error
+		if path == "-" {
+			recs, err = obs.ReadJSONL[T](stdin)
+		} else {
+			recs, err = obs.ReadJSONLFile[T](path)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, recs...)
+	}
+	return out, nil
 }
 
 // sniffSpans reports whether path's first nonempty line parses as a span
@@ -103,54 +133,70 @@ func sniffSpans(path string) bool {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+		if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
+			return span.Looks(line)
 		}
-		return span.Looks(line)
 	}
 	return false
 }
 
-// runSpans is the span-format path: read every input as span JSONL and print
-// the shared summary (count, depth, top spans by total time, tail
-// attribution).
-func runSpans(paths []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	var traces []span.TraceRec
-	for _, path := range paths {
-		var recs []span.TraceRec
-		var err error
-		if path == "-" {
-			recs, err = span.Read(stdin)
-		} else {
-			recs, err = span.ReadFile(path)
+// runSpans is the span-format path: filter by keep reason, then print the
+// attribution summary and worst-N waterfalls (or the analysis as JSON) and
+// apply the -min-attrib gate.
+func runSpans(paths []string, sf spanFlags, stdin io.Reader, stdout, stderr io.Writer) int {
+	traces, err := readAll[span.TraceRec](paths, stdin)
+	if err != nil {
+		fmt.Fprintf(stderr, "sgdtrace: %v\n", err)
+		return 1
+	}
+	if sf.keep != "" {
+		filtered := traces[:0]
+		for _, tr := range traces {
+			if tr.Keep == sf.keep {
+				filtered = append(filtered, tr)
+			}
 		}
-		if err != nil {
+		traces = filtered
+	}
+	if len(traces) == 0 {
+		fmt.Fprintln(stderr, "sgdtrace: no traces after filters")
+		return 1
+	}
+
+	a := span.Analyze(traces)
+	if sf.json {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(a); err != nil {
 			fmt.Fprintf(stderr, "sgdtrace: %v\n", err)
 			return 1
 		}
-		traces = append(traces, recs...)
+	} else {
+		a.WriteSummary(stdout, sf.top)
+		if sf.worst > 0 {
+			worst := append([]span.TraceRec(nil), traces...)
+			sort.Slice(worst, func(i, j int) bool { return worst[i].DurUS > worst[j].DurUS })
+			worst = worst[:min(sf.worst, len(worst))]
+			fmt.Fprintf(stdout, "\nworst %d traces:\n", len(worst))
+			for i := range worst {
+				span.WriteWaterfall(stdout, &worst[i])
+			}
+		}
 	}
-	span.Analyze(traces).WriteSummary(stdout, 12)
+	if sf.minAttrib > 0 && a.Tail.Attributed < sf.minAttrib {
+		fmt.Fprintf(stderr, "sgdtrace: p99 tail attribution %.3f below floor %.3f (%.1fµs unattributed)\n",
+			a.Tail.Attributed, sf.minAttrib, a.Tail.UnattributedUS)
+		return 1
+	}
 	return 0
 }
 
-// matchName reports whether name contains pat starting at a word boundary.
-// Engine names nest ("sync/cpu-par(56)", "async/gpu"), so a plain substring
-// match would make -engine sync select the async runs too.
-func matchName(name, pat string) bool {
-	for i := 0; i+len(pat) <= len(name); i++ {
-		if !strings.HasPrefix(name[i:], pat) {
-			continue
-		}
-		if i == 0 {
-			return true
-		}
-		if c := name[i-1]; !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9') {
-			return true
-		}
-	}
-	return false
+// wordPrefix matches names containing pat at a word boundary (an empty pat
+// matches everything). Engine names nest ("sync/cpu-par(56)", "async/gpu"),
+// so a plain substring match would make -engine sync select the async runs
+// too.
+func wordPrefix(pat string) *regexp.Regexp {
+	return regexp.MustCompile(`(^|[^A-Za-z0-9])` + regexp.QuoteMeta(pat))
 }

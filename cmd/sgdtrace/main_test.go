@@ -2,25 +2,28 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/span"
 )
 
 // writeTrace records two runs (one sync, one async engine) through the real
-// TraceWriter, so the test exercises the same JSONL schema the harness emits.
+// trace writer, so the test exercises the same JSONL schema the harness emits.
 func writeTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	tw, err := obs.CreateTrace(path)
+	tw, err := obs.CreateJSONL[obs.Event](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, engine := range []string{"sync/cpu-par(8)", "async/gpu"} {
-		rec := tw.Run(engine, "w8a")
+		rec := obs.TraceRun(tw, engine, "w8a")
 		for ep := 0; ep < 3; ep++ {
 			rec.Phase(obs.PhaseGradient, 0.7)
 			rec.Phase(obs.PhaseBarrier, 0.3)
@@ -130,5 +133,113 @@ func TestRunSpansStdin(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "2 traces") {
 		t.Errorf("stdin span summary wrong:\n%s", stdout.String())
+	}
+}
+
+// writeSpans lays down a controlled trace set in the span JSONL schema: 9
+// fast fully-attributed requests plus one slow chaos-faulted one whose spans
+// cover only 80% of its wall time, so the attribution gate has something to
+// fail on.
+func writeSpans(t *testing.T) string {
+	t.Helper()
+	var traces []span.TraceRec
+	for i := 0; i < 9; i++ {
+		traces = append(traces, span.TraceRec{
+			Trace: fmt.Sprintf("%016x", i+1), Root: "predict", DurUS: 1000, Keep: span.KeepHead,
+			Spans: []span.SpanRec{
+				{Name: "queue_wait", StartUS: 0, DurUS: 400, Worker: -1},
+				{Name: "score", StartUS: 400, DurUS: 600, Worker: -1},
+				{Name: "score/shard", Parent: "score", StartUS: 400, DurUS: 500, Worker: i % 4},
+			},
+		})
+	}
+	traces = append(traces, span.TraceRec{
+		Trace: "00000000000000ff", Root: "predict", DurUS: 50000,
+		Keep: span.KeepFault, Fault: "straggler",
+		Spans: []span.SpanRec{
+			{Name: "score", StartUS: 0, DurUS: 3000, Worker: -1},
+			{Name: "chaos_stall", StartUS: 3000, DurUS: 37000, Worker: -1, Fault: "straggler"},
+		},
+	})
+	var buf bytes.Buffer
+	for _, tr := range traces {
+		line, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestRunSummaryAndWaterfall(t *testing.T) {
+	path := writeSpans(t)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-worst", "2", path}, strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		"10 traces",
+		"score/shard",
+		"p99 tail attribution",
+		"worst 2 traces:",
+		"fault=straggler",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunJSONAndAttributionGate(t *testing.T) {
+	path := writeSpans(t)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-json", path}, strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	var a span.Analysis
+	if err := json.Unmarshal(stdout.Bytes(), &a); err != nil {
+		t.Fatal(err)
+	}
+	if a.Traces != 10 || a.MaxDepth != 2 {
+		t.Fatalf("analysis = %d traces, depth %d", a.Traces, a.MaxDepth)
+	}
+
+	// The gate passes at a floor the data meets and fails at one it cannot:
+	// the slow trace's spans cover well under 100% of its wall time.
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-min-attrib", "0.999", path}, strings.NewReader(""), &stdout, &stderr); code != 1 {
+		t.Fatalf("unattributable tail passed the 0.999 gate (exit %d)", code)
+	}
+	if !strings.Contains(stderr.String(), "below floor") {
+		t.Errorf("gate failure not reported:\n%s", stderr.String())
+	}
+}
+
+func TestRunKeepFilterAndErrors(t *testing.T) {
+	path := writeSpans(t)
+	var stdout, stderr bytes.Buffer
+	// One trace was kept by fault; nothing errored.
+	if code := run([]string{"-keep", "fault", path}, strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("fault filter: exit %d, stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "1 traces") {
+		t.Errorf("fault filter kept wrong count:\n%s", stdout.String())
+	}
+	if code := run([]string{"-keep", "error", path}, strings.NewReader(""), &stdout, &stderr); code != 1 {
+		t.Errorf("empty filter result: exit %d, want 1", code)
+	}
+	if code := run(nil, strings.NewReader(""), &stdout, &stderr); code != 2 {
+		t.Errorf("no args: exit %d, want 2", code)
+	}
+	if code := run([]string{"/nonexistent/spans.jsonl"}, strings.NewReader(""), &stdout, &stderr); code != 1 {
+		t.Errorf("missing file: exit %d, want 1", code)
 	}
 }

@@ -120,7 +120,7 @@ func New(opts Options) *Harness {
 		h.log = obs.NewLogger(h.opts.Out, obs.LevelInfo)
 	}
 	if h.opts.TracePath != "" {
-		tw, err := obs.CreateTrace(h.opts.TracePath)
+		tw, err := obs.CreateJSONL[obs.Event](h.opts.TracePath)
 		if err != nil {
 			panic(fmt.Errorf("bench: cannot create trace: %w", err))
 		}
@@ -153,7 +153,7 @@ func (h *Harness) recorder(engine, dataset string) obs.Recorder {
 	if h.trace == nil {
 		return h.agg.Run(engine, dataset)
 	}
-	return obs.Tee(h.agg.Run(engine, dataset), h.trace.Run(engine, dataset))
+	return obs.Tee(h.agg.Run(engine, dataset), obs.TraceRun(h.trace, engine, dataset))
 }
 
 // tpi prices one epoch of e on a fresh copy of init under the run's recorder

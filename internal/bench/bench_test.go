@@ -190,7 +190,7 @@ func TestHarnessRecordsTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, err := obs.ReadTraceFile(opts.TracePath)
+	events, err := obs.ReadJSONLFile[obs.Event](opts.TracePath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,17 +105,17 @@ func (a *Aggregator) AddEvent(ev Event) {
 	s.Epochs++
 	s.Seconds += ev.Seconds
 	for name, sec := range ev.Phases {
-		if p, ok := phaseFromString(name); ok {
+		if p, ok := enumIndex[Phase](phaseNames[:], name); ok {
 			s.PhaseSeconds[p] += sec
 		}
 	}
 	for name, n := range ev.Counters {
-		if c, ok := counterFromString(name); ok {
+		if c, ok := enumIndex[Counter](counterNames[:], name); ok {
 			s.Counters[c] += n
 		}
 	}
 	for name, d := range ev.Observations {
-		if m, ok := metricFromString(name); ok {
+		if m, ok := enumIndex[Metric](metricNames[:], name); ok {
 			s.Observations[m].merge(d)
 		}
 	}
@@ -142,22 +142,10 @@ func (a *Aggregator) Export() any {
 			"epochs":  r.Epochs,
 			"seconds": r.Seconds,
 		}
-		phases := map[string]float64{}
-		for p := Phase(0); p < numPhases; p++ {
-			if r.PhaseSeconds[p] != 0 {
-				phases[p.String()] = r.PhaseSeconds[p]
-			}
-		}
-		if len(phases) > 0 {
+		if phases := nonZero(phaseNames[:], r.PhaseSeconds[:]); phases != nil {
 			e["phases"] = phases
 		}
-		counters := map[string]int64{}
-		for c := Counter(0); c < numCounters; c++ {
-			if r.Counters[c] != 0 {
-				counters[c.String()] = r.Counters[c]
-			}
-		}
-		if len(counters) > 0 {
+		if counters := nonZero(counterNames[:], r.Counters[:]); counters != nil {
 			e["counters"] = counters
 		}
 		out[r.Engine+"|"+r.Dataset] = e
@@ -165,14 +153,8 @@ func (a *Aggregator) Export() any {
 	return out
 }
 
-// escapeLabel escapes a Prometheus label value.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// Snapshot renders the aggregate in the Prometheus text exposition format:
+// Snapshot renders the aggregate in the Prometheus text exposition format,
+// one family after another:
 //
 //	sgd_epochs_total{engine="...",dataset="..."} 12
 //	sgd_epoch_seconds_total{engine="...",dataset="..."} 4.5
@@ -189,54 +171,45 @@ func (a *Aggregator) Snapshot() string {
 		}
 		return runs[i].Dataset < runs[j].Dataset
 	})
-	var b strings.Builder
-	b.WriteString("# HELP sgd_epochs_total Epochs executed per engine run.\n")
-	b.WriteString("# TYPE sgd_epochs_total counter\n")
-	for _, r := range runs {
-		fmt.Fprintf(&b, "sgd_epochs_total{engine=%q,dataset=%q} %d\n",
-			escapeLabel(r.Engine), escapeLabel(r.Dataset), r.Epochs)
+	// One pass over the runs fills every family's sample block; the blocks
+	// are then emitted in order, each under its one header.
+	families := []struct{ name, help string }{
+		{"sgd_epochs_total", "Epochs executed per engine run."},
+		{"sgd_epoch_seconds_total", "Modeled engine seconds per run."},
+		{"sgd_phase_seconds_total", "Seconds per engine phase (loss_eval is host wall-clock, excluded from epoch seconds)."},
+		{"sgd_counter_total", "Typed engine counters (contention, conflicts, traffic)."},
+		{"sgd_observation_sum", "Sum of sampled observation values."},
+		{"sgd_observation_count", "Number of sampled observation values."},
 	}
-	b.WriteString("# HELP sgd_epoch_seconds_total Modeled engine seconds per run.\n")
-	b.WriteString("# TYPE sgd_epoch_seconds_total counter\n")
-	for _, r := range runs {
-		fmt.Fprintf(&b, "sgd_epoch_seconds_total{engine=%q,dataset=%q} %g\n",
-			escapeLabel(r.Engine), escapeLabel(r.Dataset), r.Seconds)
-	}
-	b.WriteString("# HELP sgd_phase_seconds_total Seconds per engine phase (loss_eval is host wall-clock, excluded from epoch seconds).\n")
-	b.WriteString("# TYPE sgd_phase_seconds_total counter\n")
-	for _, r := range runs {
+	blocks := make([]strings.Builder, len(families))
+	for i := range runs {
+		r := &runs[i]
+		sample := func(f int, v any, labels ...string) {
+			PromSample(&blocks[f], families[f].name, v, append([]string{"engine", r.Engine, "dataset", r.Dataset}, labels...)...)
+		}
+		sample(0, r.Epochs)
+		sample(1, r.Seconds)
 		for p := Phase(0); p < numPhases; p++ {
-			if r.PhaseSeconds[p] == 0 {
-				continue
+			if r.PhaseSeconds[p] != 0 {
+				sample(2, r.PhaseSeconds[p], "phase", p.String())
 			}
-			fmt.Fprintf(&b, "sgd_phase_seconds_total{engine=%q,dataset=%q,phase=%q} %g\n",
-				escapeLabel(r.Engine), escapeLabel(r.Dataset), p.String(), r.PhaseSeconds[p])
 		}
-	}
-	b.WriteString("# HELP sgd_counter_total Typed engine counters (contention, conflicts, traffic).\n")
-	b.WriteString("# TYPE sgd_counter_total counter\n")
-	for _, r := range runs {
 		for c := Counter(0); c < numCounters; c++ {
-			if r.Counters[c] == 0 {
-				continue
+			if r.Counters[c] != 0 {
+				sample(3, r.Counters[c], "counter", c.String())
 			}
-			fmt.Fprintf(&b, "sgd_counter_total{engine=%q,dataset=%q,counter=%q} %d\n",
-				escapeLabel(r.Engine), escapeLabel(r.Dataset), c.String(), r.Counters[c])
+		}
+		for m := Metric(0); m < numMetrics; m++ {
+			if d := r.Observations[m]; d.Count != 0 {
+				sample(4, d.Sum, "metric", m.String())
+				sample(5, d.Count, "metric", m.String())
+			}
 		}
 	}
-	b.WriteString("# HELP sgd_observation_sum Sum of sampled observation values.\n")
-	b.WriteString("# TYPE sgd_observation_sum counter\n")
-	for _, r := range runs {
-		for m := Metric(0); m < numMetrics; m++ {
-			d := r.Observations[m]
-			if d.Count == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "sgd_observation_sum{engine=%q,dataset=%q,metric=%q} %g\n",
-				escapeLabel(r.Engine), escapeLabel(r.Dataset), m.String(), d.Sum)
-			fmt.Fprintf(&b, "sgd_observation_count{engine=%q,dataset=%q,metric=%q} %d\n",
-				escapeLabel(r.Engine), escapeLabel(r.Dataset), m.String(), d.Count)
-		}
+	var b strings.Builder
+	for f, fam := range families {
+		PromFamily(&b, fam.name, "counter", fam.help)
+		b.WriteString(blocks[f].String())
 	}
 	return b.String()
 }
@@ -252,8 +225,7 @@ func (a *Aggregator) Summary() string {
 	return b.String()
 }
 
-// WriteRunSummary renders one run block (shared by Aggregator.Summary and
-// cmd/sgdtrace).
+// WriteRunSummary renders one run block of Aggregator.Summary.
 func WriteRunSummary(b *strings.Builder, r *RunStats) {
 	fmt.Fprintf(b, "%s on %s: %d epochs, %.4gs modeled\n", r.Engine, r.Dataset, r.Epochs, r.Seconds)
 	sum := r.EnginePhaseSum()

@@ -21,20 +21,6 @@ const (
 	LevelError
 )
 
-// String names the level.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
 // Logger is a minimal leveled logger: messages below the configured level
 // are dropped. A nil Logger and a nil writer both discard everything, so
 // callers never need nil checks.

@@ -14,12 +14,17 @@
 //
 // Sinks:
 //
-//   - TraceWriter streams one JSONL event per epoch (see Event for the
-//     schema); cmd/sgdtrace re-reads and summarises such files.
+//   - TraceWriter (fed by TraceRun) streams one JSONL event per epoch (see
+//     Event for the schema); cmd/sgdtrace re-reads and summarises such files.
 //   - Aggregator keeps in-memory totals per (engine, dataset) run and
 //     renders a Prometheus-style text snapshot and per-engine summary
 //     tables.
 //   - Tee fans one recorder stream out to several sinks.
+//
+// The package is also the one home of the telemetry mechanisms the serving
+// and span layers share: the JSONL codec (JSONLWriter, ReadJSONL), the
+// latency ladder and histogram (LatencyBuckets, Hist), the Prometheus
+// encoder (PromFamily, PromSample) and the -debug-addr server (ServeDebug).
 //
 // Loss evaluation is recorded under PhaseLossEval but is *excluded* from the
 // modeled epoch seconds, following the paper's methodology: the phase-sum
@@ -52,30 +57,16 @@ const (
 	numPhases
 )
 
-// String names the phase as it appears in traces and metric labels.
-func (p Phase) String() string {
-	switch p {
-	case PhaseGradient:
-		return "gradient"
-	case PhaseUpdate:
-		return "update"
-	case PhaseBarrier:
-		return "barrier"
-	case PhaseLossEval:
-		return "loss_eval"
-	}
-	return "unknown"
+// phaseNames names each phase as it appears in traces and metric labels.
+var phaseNames = [numPhases]string{
+	PhaseGradient: "gradient",
+	PhaseUpdate:   "update",
+	PhaseBarrier:  "barrier",
+	PhaseLossEval: "loss_eval",
 }
 
-// phaseFromString inverts String; second result is false for unknown names.
-func phaseFromString(s string) (Phase, bool) {
-	for p := Phase(0); p < numPhases; p++ {
-		if p.String() == s {
-			return p, true
-		}
-	}
-	return 0, false
-}
+// String names the phase.
+func (p Phase) String() string { return enumName(phaseNames[:], int(p)) }
 
 // Counter is a typed monotonic counter an engine increments during an epoch.
 type Counter uint8
@@ -199,87 +190,45 @@ const (
 	numCounters
 )
 
-// String names the counter as it appears in traces and metric labels.
-func (c Counter) String() string {
-	switch c {
-	case CounterWorkerUpdates:
-		return "worker_updates"
-	case CounterCASRetries:
-		return "cas_retries"
-	case CounterBatches:
-		return "batches"
-	case CounterGPUUpdates:
-		return "gpu_updates"
-	case CounterGPULostIntra:
-		return "gpu_lost_intra"
-	case CounterGPULostInter:
-		return "gpu_lost_inter"
-	case CounterGPUApplied:
-		return "gpu_applied"
-	case CounterGPURounds:
-		return "gpu_rounds"
-	case CounterGPUTransactions:
-		return "gpu_transactions"
-	case CounterGPURequests:
-		return "gpu_requests"
-	case CounterChaosDrops:
-		return "chaos_drops"
-	case CounterChaosDups:
-		return "chaos_dups"
-	case CounterChaosStaleReads:
-		return "chaos_stale_reads"
-	case CounterChaosStraggled:
-		return "chaos_straggled"
-	case CounterChaosShortfall:
-		return "chaos_shortfall"
-	case CounterChaosPartitioned:
-		return "chaos_partitioned"
-	case CounterServeRequests:
-		return "serve_requests"
-	case CounterServeRejected:
-		return "serve_rejected"
-	case CounterServeBatches:
-		return "serve_batches"
-	case CounterServeSwaps:
-		return "serve_swaps"
-	case CounterServeQuantBatches:
-		return "serve_quant_batches"
-	case CounterPSPulls:
-		return "ps_pulls"
-	case CounterPSPushes:
-		return "ps_pushes"
-	case CounterPSStalePushes:
-		return "ps_stale_pushes"
-	case CounterPSStalenessSum:
-		return "ps_staleness_sum"
-	case CounterLocalRounds:
-		return "local_rounds"
-	case CounterLocalStalenessSum:
-		return "local_staleness_sum"
-	case CounterLocalMergedComponents:
-		return "local_merged_components"
-	case CounterHeteroCPUBatches:
-		return "hetero_cpu_batches"
-	case CounterHeteroGPUBatches:
-		return "hetero_gpu_batches"
-	case CounterHeteroMerges:
-		return "hetero_merges"
-	case CounterHeteroCPUStalenessSum:
-		return "hetero_cpu_staleness_sum"
-	case CounterHeteroGPUStalenessSum:
-		return "hetero_gpu_staleness_sum"
-	}
-	return "unknown"
+// counterNames names each counter as it appears in traces and metric labels.
+var counterNames = [numCounters]string{
+	CounterWorkerUpdates:         "worker_updates",
+	CounterCASRetries:            "cas_retries",
+	CounterBatches:               "batches",
+	CounterGPUUpdates:            "gpu_updates",
+	CounterGPULostIntra:          "gpu_lost_intra",
+	CounterGPULostInter:          "gpu_lost_inter",
+	CounterGPUApplied:            "gpu_applied",
+	CounterGPURounds:             "gpu_rounds",
+	CounterGPUTransactions:       "gpu_transactions",
+	CounterGPURequests:           "gpu_requests",
+	CounterChaosDrops:            "chaos_drops",
+	CounterChaosDups:             "chaos_dups",
+	CounterChaosStaleReads:       "chaos_stale_reads",
+	CounterChaosStraggled:        "chaos_straggled",
+	CounterChaosShortfall:        "chaos_shortfall",
+	CounterChaosPartitioned:      "chaos_partitioned",
+	CounterServeRequests:         "serve_requests",
+	CounterServeRejected:         "serve_rejected",
+	CounterServeBatches:          "serve_batches",
+	CounterServeSwaps:            "serve_swaps",
+	CounterServeQuantBatches:     "serve_quant_batches",
+	CounterPSPulls:               "ps_pulls",
+	CounterPSPushes:              "ps_pushes",
+	CounterPSStalePushes:         "ps_stale_pushes",
+	CounterPSStalenessSum:        "ps_staleness_sum",
+	CounterLocalRounds:           "local_rounds",
+	CounterLocalStalenessSum:     "local_staleness_sum",
+	CounterLocalMergedComponents: "local_merged_components",
+	CounterHeteroCPUBatches:      "hetero_cpu_batches",
+	CounterHeteroGPUBatches:      "hetero_gpu_batches",
+	CounterHeteroMerges:          "hetero_merges",
+	CounterHeteroCPUStalenessSum: "hetero_cpu_staleness_sum",
+	CounterHeteroGPUStalenessSum: "hetero_gpu_staleness_sum",
 }
 
-func counterFromString(s string) (Counter, bool) {
-	for c := Counter(0); c < numCounters; c++ {
-		if c.String() == s {
-			return c, true
-		}
-	}
-	return 0, false
-}
+// String names the counter.
+func (c Counter) String() string { return enumName(counterNames[:], int(c)) }
 
 // Metric is a sampled value tracked as a distribution (count/sum/min/max).
 type Metric uint8
@@ -316,37 +265,20 @@ const (
 	numMetrics
 )
 
-// String names the metric as it appears in traces and metric labels.
-func (m Metric) String() string {
-	switch m {
-	case MetricBatchSeconds:
-		return "batch_seconds"
-	case MetricDivergentWarpFrac:
-		return "divergent_warp_frac"
-	case MetricWorkerShare:
-		return "worker_share"
-	case MetricChaosSlowdown:
-		return "chaos_slowdown"
-	case MetricServeBatchSize:
-		return "serve_batch_size"
-	case MetricServeQueueDepth:
-		return "serve_queue_depth"
-	case MetricServeLatency:
-		return "serve_latency_seconds"
-	case MetricHeteroGPUShare:
-		return "hetero_gpu_share"
-	}
-	return "unknown"
+// metricNames names each metric as it appears in traces and metric labels.
+var metricNames = [numMetrics]string{
+	MetricBatchSeconds:      "batch_seconds",
+	MetricDivergentWarpFrac: "divergent_warp_frac",
+	MetricWorkerShare:       "worker_share",
+	MetricChaosSlowdown:     "chaos_slowdown",
+	MetricServeBatchSize:    "serve_batch_size",
+	MetricServeQueueDepth:   "serve_queue_depth",
+	MetricServeLatency:      "serve_latency_seconds",
+	MetricHeteroGPUShare:    "hetero_gpu_share",
 }
 
-func metricFromString(s string) (Metric, bool) {
-	for m := Metric(0); m < numMetrics; m++ {
-		if m.String() == s {
-			return m, true
-		}
-	}
-	return 0, false
-}
+// String names the metric.
+func (m Metric) String() string { return enumName(metricNames[:], int(m)) }
 
 // Recorder receives one engine run's instrumentation stream. Engines call
 // Phase/Add/Observe while executing an epoch; whoever drives the engine (the
@@ -454,4 +386,23 @@ func (t *tee) EndEpoch(sec float64) {
 	for _, r := range t.rs {
 		r.EndEpoch(sec)
 	}
+}
+
+// enumName returns names[i], or "unknown" out of range.
+func enumName(names []string, i int) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return "unknown"
+}
+
+// enumIndex inverts String for one of the enums above: the value named s,
+// with ok false for an unknown name.
+func enumIndex[E ~uint8](names []string, s string) (e E, ok bool) {
+	for i, n := range names {
+		if n == s {
+			return E(i), true
+		}
+	}
+	return 0, false
 }

@@ -92,37 +92,37 @@ func TestTeeFansOutAndCollapses(t *testing.T) {
 
 func TestEnumStringsRoundTrip(t *testing.T) {
 	for p := Phase(0); p < numPhases; p++ {
-		got, ok := phaseFromString(p.String())
+		got, ok := enumIndex[Phase](phaseNames[:], p.String())
 		if !ok || got != p {
 			t.Fatalf("phase %d round trip failed (%q)", p, p.String())
 		}
 	}
 	for c := Counter(0); c < numCounters; c++ {
-		got, ok := counterFromString(c.String())
+		got, ok := enumIndex[Counter](counterNames[:], c.String())
 		if !ok || got != c {
 			t.Fatalf("counter %d round trip failed (%q)", c, c.String())
 		}
 	}
 	for m := Metric(0); m < numMetrics; m++ {
-		got, ok := metricFromString(m.String())
+		got, ok := enumIndex[Metric](metricNames[:], m.String())
 		if !ok || got != m {
 			t.Fatalf("metric %d round trip failed (%q)", m, m.String())
 		}
 	}
-	if _, ok := phaseFromString("nope"); ok {
+	if _, ok := enumIndex[Phase](phaseNames[:], "nope"); ok {
 		t.Fatal("unknown phase accepted")
 	}
 }
 
 func TestTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	driveRun(tw.Run("async/cpu-par(56)", "covtype"))
-	driveRun(tw.Run("sync/gpu", "w8a"))
+	tw := NewJSONLWriter[Event](&buf)
+	driveRun(TraceRun(tw, "async/cpu-par(56)", "covtype"))
+	driveRun(TraceRun(tw, "sync/gpu", "w8a"))
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadTrace(&buf)
+	events, err := ReadJSONL[Event](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,14 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestTraceSkipsEmptyEpochs(t *testing.T) {
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	r := tw.Run("e", "d")
+	tw := NewJSONLWriter[Event](&buf)
+	r := TraceRun(tw, "e", "d")
 	r.EndEpoch(0) // nothing recorded, zero seconds: dropped
 	r.EndEpoch(2.5)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadTrace(&buf)
+	events, err := ReadJSONL[Event](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTraceSkipsEmptyEpochs(t *testing.T) {
 }
 
 func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("{\"engine\":\"e\"}\nnot json\n")); err == nil {
+	if _, err := ReadJSONL[Event](strings.NewReader("{\"engine\":\"e\"}\nnot json\n")); err == nil {
 		t.Fatal("malformed line accepted")
 	}
 }
@@ -218,12 +218,12 @@ func TestAggregatorTotalsAndSnapshot(t *testing.T) {
 
 func TestAggregatorFromTraceEventsMatchesLive(t *testing.T) {
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	driveRun(tw.Run("e", "d"))
+	tw := NewJSONLWriter[Event](&buf)
+	driveRun(TraceRun(tw, "e", "d"))
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadTrace(&buf)
+	events, err := ReadJSONL[Event](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

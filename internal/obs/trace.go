@@ -1,13 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
-)
+import "sync"
 
 // Dist summarises the samples of one distribution metric within an epoch.
 type Dist struct {
@@ -67,74 +60,17 @@ type Event struct {
 	Observations map[string]Dist    `json:"observations,omitempty"`
 }
 
-// TraceWriter streams epoch events as JSON Lines. It is safe for concurrent
-// use by the scoped recorders of several runs.
-type TraceWriter struct {
-	mu  sync.Mutex
-	buf *bufio.Writer
-	cl  io.Closer
-	err error
-}
+// TraceWriter is the epoch trace: a JSONL stream of Events. Create one with
+// CreateJSONL[Event] or NewJSONLWriter[Event]; ReadJSONL[Event] reads it back.
+type TraceWriter = JSONLWriter[Event]
 
-// NewTraceWriter wraps an io.Writer as a trace sink.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	t := &TraceWriter{buf: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		t.cl = c
-	}
-	return t
-}
-
-// CreateTrace creates (truncating) a trace file at path.
-func CreateTrace(path string) (*TraceWriter, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: create trace: %w", err)
-	}
-	return NewTraceWriter(f), nil
-}
-
-// Run returns a Recorder scoped to one (engine, dataset) drive; its epochs
-// are numbered from 0 in EndEpoch order.
-func (t *TraceWriter) Run(engine, dataset string) Recorder {
+// TraceRun returns a Recorder scoped to one (engine, dataset) drive whose
+// epochs stream to t, numbered from 0 in EndEpoch order (Nop for a nil t).
+func TraceRun(t *TraceWriter, engine, dataset string) Recorder {
 	if t == nil {
 		return Nop{}
 	}
-	return &runRecorder{sink: t.write, engine: engine, dataset: dataset}
-}
-
-// write emits one event line.
-func (t *TraceWriter) write(ev *Event) {
-	line, err := json.Marshal(ev)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err != nil {
-		t.err = err
-		return
-	}
-	if _, err := t.buf.Write(append(line, '\n')); err != nil && t.err == nil {
-		t.err = err
-	}
-}
-
-// Close flushes buffered events and closes the underlying file, reporting
-// the first write error encountered.
-func (t *TraceWriter) Close() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.buf.Flush(); err != nil && t.err == nil {
-		t.err = err
-	}
-	if t.cl != nil {
-		if err := t.cl.Close(); err != nil && t.err == nil {
-			t.err = err
-		}
-		t.cl = nil
-	}
-	return t.err
+	return &runRecorder{sink: t.Write, engine: engine, dataset: dataset}
 }
 
 // runRecorder accumulates one epoch of one run and hands finished events to
@@ -145,14 +81,12 @@ type runRecorder struct {
 	engine  string
 	dataset string
 
-	mu      sync.Mutex
-	epoch   int
-	dirty   bool
-	phases  [numPhases]float64
-	counts  [numCounters]int64
-	obs     [numMetrics]Dist
-	hasObs  [numMetrics]bool
-	seconds float64
+	mu     sync.Mutex
+	epoch  int
+	dirty  bool
+	phases [numPhases]float64
+	counts [numCounters]int64
+	obs    [numMetrics]Dist
 }
 
 // Phase implements Recorder.
@@ -184,7 +118,6 @@ func (r *runRecorder) Observe(m Metric, v float64) {
 	}
 	r.mu.Lock()
 	r.obs[m].observe(v)
-	r.hasObs[m] = true
 	r.dirty = true
 	r.mu.Unlock()
 }
@@ -199,34 +132,13 @@ func (r *runRecorder) EndEpoch(modeledSeconds float64) {
 		return
 	}
 	ev := &Event{
-		Engine:  r.engine,
-		Dataset: r.dataset,
-		Epoch:   r.epoch,
-		Seconds: modeledSeconds,
-	}
-	for p := Phase(0); p < numPhases; p++ {
-		if r.phases[p] != 0 {
-			if ev.Phases == nil {
-				ev.Phases = make(map[string]float64, int(numPhases))
-			}
-			ev.Phases[p.String()] = r.phases[p]
-		}
-	}
-	for c := Counter(0); c < numCounters; c++ {
-		if r.counts[c] != 0 {
-			if ev.Counters == nil {
-				ev.Counters = make(map[string]int64, int(numCounters))
-			}
-			ev.Counters[c.String()] = r.counts[c]
-		}
-	}
-	for m := Metric(0); m < numMetrics; m++ {
-		if r.hasObs[m] {
-			if ev.Observations == nil {
-				ev.Observations = make(map[string]Dist, int(numMetrics))
-			}
-			ev.Observations[m.String()] = r.obs[m]
-		}
+		Engine:       r.engine,
+		Dataset:      r.dataset,
+		Epoch:        r.epoch,
+		Seconds:      modeledSeconds,
+		Phases:       nonZero(phaseNames[:], r.phases[:]),
+		Counters:     nonZero(counterNames[:], r.counts[:]),
+		Observations: nonZero(metricNames[:], r.obs[:]),
 	}
 	r.sink(ev)
 	r.epoch++
@@ -234,41 +146,20 @@ func (r *runRecorder) EndEpoch(modeledSeconds float64) {
 	r.phases = [numPhases]float64{}
 	r.counts = [numCounters]int64{}
 	r.obs = [numMetrics]Dist{}
-	r.hasObs = [numMetrics]bool{}
-	r.seconds = 0
 }
 
-// ReadTrace parses a JSONL trace stream. Blank lines are skipped; a
-// malformed line aborts with an error naming its line number.
-func ReadTrace(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Event
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+// nonZero maps names[i] to vals[i] for every nonzero value (nil when all are
+// zero), the sparse form traces and expvar carry.
+func nonZero[V comparable](names []string, vals []V) map[string]V {
+	var m map[string]V
+	var zero V
+	for i, v := range vals {
+		if v != zero {
+			if m == nil {
+				m = make(map[string]V, len(vals))
+			}
+			m[names[i]] = v
 		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
-		}
-		out = append(out, ev)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: trace read: %w", err)
-	}
-	return out, nil
-}
-
-// ReadTraceFile parses a JSONL trace file.
-func ReadTraceFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTrace(f)
+	return m
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
@@ -212,7 +213,7 @@ func TestStoreVersionsMonotonic(t *testing.T) {
 }
 
 func TestHistQuantiles(t *testing.T) {
-	h := newHist([]float64{1, 2, 4, 8})
+	h := obs.NewHist([]float64{1, 2, 4, 8})
 	for i := 0; i < 50; i++ {
 		h.Record(0.5) // bucket <=1
 	}

@@ -1,126 +1,11 @@
 package serve
 
 import (
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
+	"io"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
-
-// latBuckets are the latency histogram bounds: log-spaced, 8 buckets per
-// decade from 1µs to 10s (upper bounds in seconds), plus an overflow bucket.
-// The resolution (~33% per step) is enough for the p50/p99 the reports and
-// gates compare, while keeping Record a single atomic increment.
-var latBuckets = func() []float64 {
-	var b []float64
-	for e := -6; e < 1; e++ {
-		decade := math.Pow(10, float64(e))
-		for i := 0; i < 8; i++ {
-			b = append(b, decade*math.Pow(10, float64(i)/8))
-		}
-	}
-	return append(b, 10)
-}()
-
-// hist is a fixed-bound histogram with atomic buckets; Record is wait-free
-// so the request path never serialises on statistics.
-type hist struct {
-	bounds []float64 // upper bounds, ascending; len(counts) == len(bounds)+1
-	counts []atomic.Int64
-	sum    atomicFloat
-	max    atomicFloat
-}
-
-func newHist(bounds []float64) *hist {
-	return &hist{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-}
-
-// Record adds one sample.
-func (h *hist) Record(v float64) {
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	h.counts[lo].Add(1)
-	h.sum.Add(v)
-	h.max.Max(v)
-}
-
-// Count returns the total sample count.
-func (h *hist) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Mean returns the sample mean (0 when empty).
-func (h *hist) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.sum.Load() / float64(n)
-}
-
-// Quantile returns an upper-bound estimate of the p-quantile (p in [0,1]):
-// the upper bound of the bucket holding the p-th sample (the recorded max
-// for the overflow bucket). 0 when empty.
-func (h *hist) Quantile(p float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max.Load()
-		}
-	}
-	return h.max.Load()
-}
-
-// atomicFloat is a float64 with atomic Add and monotonic Max via CAS on the
-// bit pattern (the same discipline as model.AtomicUpdater).
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
-
-func (f *atomicFloat) Add(v float64) {
-	for {
-		old := f.bits.Load()
-		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) Max(v float64) {
-	for {
-		old := f.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if f.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
 
 // Stats aggregates the serving-path counters and distributions. All methods
 // are safe for concurrent use; the hot-path cost is a few atomic adds.
@@ -133,8 +18,8 @@ type Stats struct {
 	batches      atomic.Int64 // dispatched micro-batches
 	quantBatches atomic.Int64 // micro-batches scored through the int8 path
 
-	latency   *hist // end-to-end seconds (queue wait + compute)
-	batchSize *hist // requests per dispatched batch
+	latency   *obs.Hist // end-to-end seconds (queue wait + compute)
+	batchSize *obs.Hist // requests per dispatched batch
 	queueSum  atomic.Int64
 }
 
@@ -143,7 +28,7 @@ func newStats(store *Store) *Stats {
 	for b := 1; b <= 4096; b *= 2 {
 		bounds = append(bounds, float64(b))
 	}
-	return &Stats{store: store, latency: newHist(latBuckets), batchSize: newHist(bounds)}
+	return &Stats{store: store, latency: obs.NewHist(obs.LatencyBuckets), batchSize: obs.NewHist(bounds)}
 }
 
 // Report is the JSON shape of one stats snapshot (/stats, sgdload reports).
@@ -174,11 +59,11 @@ func (s *Stats) Snapshot() Report {
 		Batches:      s.batches.Load(),
 		QuantBatches: s.quantBatches.Load(),
 		AvgBatch:     s.batchSize.Mean(),
-		MaxBatch:     s.batchSize.max.Load(),
+		MaxBatch:     s.batchSize.Max(),
 		LatencyP50:   s.latency.Quantile(0.50),
 		LatencyP90:   s.latency.Quantile(0.90),
 		LatencyP99:   s.latency.Quantile(0.99),
-		LatencyMax:   s.latency.max.Load(),
+		LatencyMax:   s.latency.Max(),
 		LatencyMean:  s.latency.Mean(),
 	}
 	if b := r.Batches; b > 0 {
@@ -196,42 +81,34 @@ func (s *Stats) Snapshot() Report {
 // WriteProm renders the aggregate in the Prometheus text exposition format
 // under the sgd_serve_ prefix (served next to the training aggregator's
 // sgd_ families on /metrics).
-func (s *Stats) WriteProm(b *strings.Builder) {
+func (s *Stats) WriteProm(w io.Writer) {
 	r := s.Snapshot()
-	fmt.Fprintf(b, "# HELP sgd_serve_requests_total Admitted prediction requests.\n# TYPE sgd_serve_requests_total counter\nsgd_serve_requests_total %d\n", r.Requests)
-	fmt.Fprintf(b, "# HELP sgd_serve_rejected_total Requests refused by admission control (429).\n# TYPE sgd_serve_rejected_total counter\nsgd_serve_rejected_total %d\n", r.Rejected)
-	fmt.Fprintf(b, "# HELP sgd_serve_dropped_total Requests dropped by the active fault plan.\n# TYPE sgd_serve_dropped_total counter\nsgd_serve_dropped_total %d\n", r.Dropped)
-	fmt.Fprintf(b, "# HELP sgd_serve_batches_total Dispatched inference micro-batches.\n# TYPE sgd_serve_batches_total counter\nsgd_serve_batches_total %d\n", r.Batches)
-	fmt.Fprintf(b, "# HELP sgd_serve_quant_batches_total Micro-batches scored through the int8 quantised path.\n# TYPE sgd_serve_quant_batches_total counter\nsgd_serve_quant_batches_total %d\n", r.QuantBatches)
-	fmt.Fprintf(b, "# HELP sgd_serve_snapshot_swaps_total Model snapshot hot-swaps.\n# TYPE sgd_serve_snapshot_swaps_total counter\nsgd_serve_snapshot_swaps_total %d\n", r.Swaps)
-	fmt.Fprintf(b, "# HELP sgd_serve_model_version Current served snapshot version.\n# TYPE sgd_serve_model_version gauge\nsgd_serve_model_version %d\n", r.ModelVersion)
-	fmt.Fprintf(b, "# HELP sgd_serve_batch_size_avg Mean requests per dispatched batch.\n# TYPE sgd_serve_batch_size_avg gauge\nsgd_serve_batch_size_avg %g\n", r.AvgBatch)
-	b.WriteString("# HELP sgd_serve_latency_seconds End-to-end request latency quantiles.\n# TYPE sgd_serve_latency_seconds gauge\n")
-	fmt.Fprintf(b, "sgd_serve_latency_seconds{quantile=\"0.5\"} %g\n", r.LatencyP50)
-	fmt.Fprintf(b, "sgd_serve_latency_seconds{quantile=\"0.9\"} %g\n", r.LatencyP90)
-	fmt.Fprintf(b, "sgd_serve_latency_seconds{quantile=\"0.99\"} %g\n", r.LatencyP99)
-	fmt.Fprintf(b, "sgd_serve_latency_seconds{quantile=\"1\"} %g\n", r.LatencyMax)
+	for _, m := range []struct {
+		name, typ, help string
+		v               any
+	}{
+		{"sgd_serve_requests_total", "counter", "Admitted prediction requests.", r.Requests},
+		{"sgd_serve_rejected_total", "counter", "Requests refused by admission control (429).", r.Rejected},
+		{"sgd_serve_dropped_total", "counter", "Requests dropped by the active fault plan.", r.Dropped},
+		{"sgd_serve_batches_total", "counter", "Dispatched inference micro-batches.", r.Batches},
+		{"sgd_serve_quant_batches_total", "counter", "Micro-batches scored through the int8 quantised path.", r.QuantBatches},
+		{"sgd_serve_snapshot_swaps_total", "counter", "Model snapshot hot-swaps.", r.Swaps},
+		{"sgd_serve_model_version", "gauge", "Current served snapshot version.", r.ModelVersion},
+		{"sgd_serve_batch_size_avg", "gauge", "Mean requests per dispatched batch.", r.AvgBatch},
+	} {
+		obs.PromFamily(w, m.name, m.typ, m.help)
+		obs.PromSample(w, m.name, m.v)
+	}
+	obs.PromFamily(w, "sgd_serve_latency_seconds", "gauge", "End-to-end request latency quantiles.")
+	for _, q := range []struct {
+		quantile string
+		v        float64
+	}{{"0.5", r.LatencyP50}, {"0.9", r.LatencyP90}, {"0.99", r.LatencyP99}, {"1", r.LatencyMax}} {
+		obs.PromSample(w, "sgd_serve_latency_seconds", q.v, "quantile", q.quantile)
+	}
 	// The same distributions again as standard cumulative histograms, so
 	// off-the-shelf tooling (histogram_quantile, burn-rate recording rules)
 	// works without knowing the custom quantile-gauge families above.
-	writePromHist(b, "sgd_serve_request_duration_seconds", "End-to-end request latency.", s.latency)
-	writePromHist(b, "sgd_serve_batch_size", "Requests per dispatched micro-batch.", s.batchSize)
-}
-
-// writePromHist renders one hist in the standard Prometheus histogram
-// exposition: cumulative `le` buckets plus _sum and _count. Bucket reads are
-// not atomic as a set — concurrent Records can land between loads — which
-// only means the rendered cumulative counts may lag each other by in-flight
-// samples, the same eventual consistency every scraped histogram has.
-func writePromHist(b *strings.Builder, name, help string, h *hist) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum int64
-	for i, ub := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(b, "%s_sum %g\n", name, h.sum.Load())
-	fmt.Fprintf(b, "%s_count %d\n", name, cum)
+	s.latency.WriteProm(w, "sgd_serve_request_duration_seconds", "End-to-end request latency.")
+	s.batchSize.WriteProm(w, "sgd_serve_batch_size", "Requests per dispatched micro-batch.")
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/span"
 )
@@ -72,7 +73,7 @@ func TestPredictEmitsSpanChain(t *testing.T) {
 	if st := tracer.Stats(); st.Started != 1 || st.Kept != 1 {
 		t.Fatalf("tracer stats = %+v", st)
 	}
-	recs, err := span.Read(&buf)
+	recs, err := obs.ReadJSONL[span.TraceRec](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestChaosFaultAnnotatesSpans(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := span.Read(&buf)
+	recs, err := obs.ReadJSONL[span.TraceRec](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// The offline analysis half: cmd/sgdspan and cmd/sgdtrace -spans read kept
-// traces back and ask where the tail went. Attribution is the key number:
+// The offline analysis half: cmd/sgdtrace's span mode reads kept traces
+// back and asks where the tail went. Attribution is the key number:
 // for the traces at or above the p99 duration, what fraction of wall time
 // is covered by named top-level spans? The serve instrumentation records a
 // contiguous chain (admission → queue_wait → batch_assembly → score →

@@ -1,110 +1,19 @@
 package span
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"sync"
+
+	"repro/internal/obs"
 )
 
-// Writer streams kept traces as JSON Lines, one TraceRec per line — the
-// span-side sibling of obs.TraceWriter. Safe for concurrent use by the many
-// requester goroutines finishing traces.
-type Writer struct {
-	mu  sync.Mutex
-	buf *bufio.Writer
-	cl  io.Closer
-	err error
-}
+// Writer streams kept traces as JSON Lines, one TraceRec per line, through
+// the same codec as the obs epoch trace: obs.CreateJSONL[TraceRec] opens a
+// file and obs.ReadJSONL[TraceRec] reads one back.
+type Writer = obs.JSONLWriter[TraceRec]
 
 // NewWriter wraps an io.Writer as a span sink.
-func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{buf: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		sw.cl = c
-	}
-	return sw
-}
-
-// CreateWriter creates (truncating) a span JSONL file at path.
-func CreateWriter(path string) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("span: create trace file: %w", err)
-	}
-	return NewWriter(f), nil
-}
-
-// write emits one trace line.
-func (w *Writer) write(rec *TraceRec) {
-	line, err := json.Marshal(rec)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err != nil {
-		w.err = err
-		return
-	}
-	if _, err := w.buf.Write(append(line, '\n')); err != nil && w.err == nil {
-		w.err = err
-	}
-}
-
-// Close flushes buffered traces and closes the underlying file, reporting
-// the first write error encountered.
-func (w *Writer) Close() error {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.buf.Flush(); err != nil && w.err == nil {
-		w.err = err
-	}
-	if w.cl != nil {
-		if err := w.cl.Close(); err != nil && w.err == nil {
-			w.err = err
-		}
-		w.cl = nil
-	}
-	return w.err
-}
-
-// Read parses a span JSONL stream. Blank lines are skipped; a malformed
-// line aborts with an error naming its line number.
-func Read(r io.Reader) ([]TraceRec, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []TraceRec
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec TraceRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("span: trace line %d: %w", lineNo, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("span: trace read: %w", err)
-	}
-	return out, nil
-}
-
-// ReadFile parses a span JSONL file.
-func ReadFile(path string) ([]TraceRec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}
+func NewWriter(w io.Writer) *Writer { return obs.NewJSONLWriter[TraceRec](w) }
 
 // Looks reports whether the first nonempty line of data parses as a span
 // TraceRec rather than an obs epoch event — how cmd/sgdtrace sniffs the

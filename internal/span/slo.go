@@ -2,11 +2,13 @@ package span
 
 import (
 	"fmt"
-	"math"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The SLO engine: named objectives (p-quantile latency bounds, error-rate
@@ -18,25 +20,12 @@ import (
 // window hot, slow window cool) stays quiet while a sustained regression
 // (both hot) pages quickly.
 //
-// Latency samples land in the same log-spaced bucket ladder the serving
-// Stats histogram uses (8 buckets per decade, 1µs–10s), kept as a ring of
+// Latency samples land in obs.LatencyBuckets, the ladder the serving Stats
+// histogram uses (8 buckets per decade, 1µs–10s), kept as a ring of
 // per-tick slots so any trailing window is a bucket-sum away. An
 // objective's latency bound therefore rounds up to the nearest bucket
 // boundary (~33% granularity per step), which is exactly the resolution of
 // the quantiles everything else in the repo reports.
-
-// sloBounds is the latency bucket ladder (upper bounds in seconds),
-// identical in shape to the serving stats histogram.
-var sloBounds = func() []float64 {
-	var b []float64
-	for e := -6; e < 1; e++ {
-		decade := math.Pow(10, float64(e))
-		for i := 0; i < 8; i++ {
-			b = append(b, decade*math.Pow(10, float64(i)/8))
-		}
-	}
-	return append(b, 10)
-}()
 
 // Objective is one service-level objective over the request stream.
 type Objective struct {
@@ -73,10 +62,13 @@ func ParseObjectives(spec string) ([]Objective, error) {
 		if err != nil {
 			return nil, fmt.Errorf("span: objective %q: bad target: %v", term, err)
 		}
-		if target <= 0 || target >= 100 {
+		// Checked on the fraction, so NaN, ±Inf and an underflow to 0 fail
+		// too.
+		frac := target / 100
+		if !(frac > 0 && frac < 1) {
 			return nil, fmt.Errorf("span: objective %q: target %v%% outside (0, 100)", term, target)
 		}
-		o := Objective{Name: term, Target: target / 100}
+		o := Objective{Name: term, Target: frac}
 		switch {
 		case head == "errors":
 		case strings.HasPrefix(head, "latency<="):
@@ -165,18 +157,12 @@ func NewSLO(cfg SLOConfig) *SLO {
 		now:   time.Now,
 	}
 	for i := range s.slots {
-		s.slots[i].buckets = make([]int64, len(sloBounds)+1)
+		s.slots[i].buckets = make([]int64, len(obs.LatencyBuckets)+1)
 	}
 	for _, o := range cfg.Objectives {
 		idx := -1
 		if o.LatencyBound > 0 {
-			idx = len(sloBounds) // overflow bucket: bound above the ladder
-			for i, ub := range sloBounds {
-				if ub >= o.LatencyBound {
-					idx = i
-					break
-				}
-			}
+			idx = obs.BucketIndex(obs.LatencyBuckets, o.LatencyBound)
 		}
 		s.boundIdx = append(s.boundIdx, idx)
 	}
@@ -221,16 +207,7 @@ func (s *SLO) Record(latency float64, isErr bool) {
 	if isErr {
 		sl.errs++
 	} else {
-		lo, hi := 0, len(sloBounds)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if latency <= sloBounds[mid] {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		sl.buckets[lo]++
+		sl.buckets[obs.BucketIndex(obs.LatencyBuckets, latency)]++
 	}
 	s.mu.Unlock()
 }
@@ -319,22 +296,22 @@ func (s *SLO) Snapshot() Report {
 }
 
 // WriteProm renders the evaluation as Prometheus text under sgd_slo_.
-func (s *SLO) WriteProm(b *strings.Builder) {
+func (s *SLO) WriteProm(w io.Writer) {
 	if s == nil {
 		return
 	}
 	rep := s.Snapshot()
-	b.WriteString("# HELP sgd_slo_burn_rate Error-budget burn rate per objective and window.\n# TYPE sgd_slo_burn_rate gauge\n")
+	obs.PromFamily(w, "sgd_slo_burn_rate", "gauge", "Error-budget burn rate per objective and window.")
 	for _, o := range rep.Objectives {
-		fmt.Fprintf(b, "sgd_slo_burn_rate{objective=%q,window=\"fast\"} %g\n", o.Name, o.FastBurn)
-		fmt.Fprintf(b, "sgd_slo_burn_rate{objective=%q,window=\"slow\"} %g\n", o.Name, o.SlowBurn)
+		obs.PromSample(w, "sgd_slo_burn_rate", o.FastBurn, "objective", o.Name, "window", "fast")
+		obs.PromSample(w, "sgd_slo_burn_rate", o.SlowBurn, "objective", o.Name, "window", "slow")
 	}
-	b.WriteString("# HELP sgd_slo_alerting Multi-window burn alert state per objective (1 = firing).\n# TYPE sgd_slo_alerting gauge\n")
+	obs.PromFamily(w, "sgd_slo_alerting", "gauge", "Multi-window burn alert state per objective (1 = firing).")
 	for _, o := range rep.Objectives {
 		v := 0
 		if o.Alerting {
 			v = 1
 		}
-		fmt.Fprintf(b, "sgd_slo_alerting{objective=%q} %d\n", o.Name, v)
+		obs.PromSample(w, "sgd_slo_alerting", v, "objective", o.Name)
 	}
 }

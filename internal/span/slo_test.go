@@ -36,11 +36,48 @@ func TestParseObjectives(t *testing.T) {
 	if math.Abs(objs[1].Target-0.999) > 1e-12 || objs[1].LatencyBound != 0 {
 		t.Fatalf("error objective = %+v", objs[1])
 	}
-	for _, bad := range []string{"", "latency<=250ms", "errors@0", "errors@100", "errors@x", "latency<=-1s@99", "wat@99"} {
+	for _, bad := range []string{
+		"", "latency<=250ms", "errors@0", "errors@100", "errors@x", "latency<=-1s@99", "wat@99",
+		"errors@NaN", "latency<=1s@nan", "errors@+Inf", "errors@1e-400",
+	} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Fatalf("ParseObjectives(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseObjectives: every objective the parser accepts is one the SLO
+// engine can evaluate — a target strictly inside (0, 1), a finite
+// nonnegative latency bound — so a fully bad window burns at a finite,
+// positive rate that an alert can compare against its threshold.
+func FuzzParseObjectives(f *testing.F) {
+	for _, seed := range []string{
+		"latency<=250ms@99, errors@99.9", "errors@NaN", "latency<=1s@nan",
+		"errors@1e-320", "errors@99.99999999999999", "latency<=0s@50", ",,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseObjectives(spec)
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			if !(o.Target > 0 && o.Target < 1) {
+				t.Fatalf("%q: accepted target %v outside (0, 1)", spec, o.Target)
+			}
+			if math.IsNaN(o.LatencyBound) || math.IsInf(o.LatencyBound, 0) || o.LatencyBound < 0 {
+				t.Fatalf("%q: accepted latency bound %v", spec, o.LatencyBound)
+			}
+		}
+		s, _ := newTestSLO(SLOConfig{Objectives: objs})
+		s.Record(0, true)
+		for _, o := range s.Snapshot().Objectives {
+			if !(o.FastBurn > 0) || math.IsInf(o.FastBurn, 0) {
+				t.Fatalf("%q: fully bad window burns at %v", spec, o.FastBurn)
+			}
+		}
+	})
 }
 
 // TestBurnRateMath: 10% errors against a 1% budget burns at 10 in both

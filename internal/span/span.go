@@ -22,8 +22,8 @@
 //     retention: traces that were slow, errored, or absorbed a chaos fault
 //     are always exported, so the interesting requests survive a 1% rate.
 //
-// Kept traces stream as JSONL (one TraceRec per line) next to the obs epoch
-// trace; cmd/sgdspan and cmd/sgdtrace -spans read them back. The companion
+// Kept traces stream as JSONL (one TraceRec per line) through the same
+// obs.JSONLWriter as the epoch trace; cmd/sgdtrace reads them back. The companion
 // SLO engine (slo.go) turns the same request outcomes into multi-window
 // burn rates over log-bucketed latency histograms, surfaced at /slo and in
 // Prometheus — the promotion/rollback signal the serving-fleet direction of
@@ -32,10 +32,13 @@ package span
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ID identifies one trace, rendered as 16 lowercase hex digits (the form
@@ -321,7 +324,7 @@ func (tr *Trace) Finish(errKind string) {
 		t.keptHead.Add(1)
 	}
 	if keep != "" && t.w != nil {
-		t.w.write(&TraceRec{
+		t.w.Write(&TraceRec{
 			Trace: tr.id.String(),
 			Root:  tr.root,
 			DurUS: float64(dur) / 1e3,
@@ -339,22 +342,22 @@ func (tr *Trace) Finish(errKind string) {
 }
 
 // WriteProm renders the tracer tally as Prometheus text under sgd_span_.
-func (t *Tracer) WriteProm(w interface{ WriteString(string) (int, error) }) {
+func (t *Tracer) WriteProm(w io.Writer) {
 	if t == nil {
 		return
 	}
 	s := t.Stats()
-	w.WriteString("# HELP sgd_span_traces_total Traces started on the serve path.\n# TYPE sgd_span_traces_total counter\n")
-	w.WriteString(fmt.Sprintf("sgd_span_traces_total %d\n", s.Started))
-	w.WriteString("# HELP sgd_span_kept_total Traces retained, by keep reason.\n# TYPE sgd_span_kept_total counter\n")
+	obs.PromFamily(w, "sgd_span_traces_total", "counter", "Traces started on the serve path.")
+	obs.PromSample(w, "sgd_span_traces_total", s.Started)
+	obs.PromFamily(w, "sgd_span_kept_total", "counter", "Traces retained, by keep reason.")
 	for _, kv := range []struct {
 		reason string
 		n      int64
 	}{{KeepHead, s.KeptHead}, {KeepSlow, s.KeptSlow}, {KeepFault, s.KeptFault}, {KeepError, s.KeptError}} {
-		w.WriteString(fmt.Sprintf("sgd_span_kept_total{reason=%q} %d\n", kv.reason, kv.n))
+		obs.PromSample(w, "sgd_span_kept_total", kv.n, "reason", kv.reason)
 	}
 	if s.Truncated > 0 {
-		w.WriteString("# HELP sgd_span_truncated_spans_total Spans dropped by the per-trace cap.\n# TYPE sgd_span_truncated_spans_total counter\n")
-		w.WriteString(fmt.Sprintf("sgd_span_truncated_spans_total %d\n", s.Truncated))
+		obs.PromFamily(w, "sgd_span_truncated_spans_total", "counter", "Spans dropped by the per-trace cap.")
+		obs.PromSample(w, "sgd_span_truncated_spans_total", s.Truncated)
 	}
 }

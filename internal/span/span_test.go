@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestSamplingDeterminism: head-sampling is a pure function of (seed, id) —
@@ -82,7 +84,7 @@ func TestKeepPrecedence(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := Read(&buf)
+			recs, err := obs.ReadJSONL[TraceRec](&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +114,7 @@ func TestKeepPrecedence(t *testing.T) {
 	}
 }
 
-// TestRoundTrip: a recorded tree survives the Writer/Read JSONL round trip
+// TestRoundTrip: a recorded tree survives the Writer/ReadJSONL round trip
 // with offsets, workers and faults intact.
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -131,7 +133,7 @@ func TestRoundTrip(t *testing.T) {
 	if !Looks(bytes.Split(buf.Bytes(), []byte("\n"))[0]) {
 		t.Fatal("Looks rejected a span line")
 	}
-	recs, err := Read(bytes.NewReader(buf.Bytes()))
+	recs, err := obs.ReadJSONL[TraceRec](bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +329,7 @@ func TestConcurrentRecord(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Read(&buf)
+	recs, err := obs.ReadJSONL[TraceRec](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

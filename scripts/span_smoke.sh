@@ -3,14 +3,14 @@
 # (`make span-smoke`). Two phases against a real sgdserve process:
 #
 #   1. baseline: healthy server under load. The SLO must stay quiet and
-#      sgdspan must attribute >= 95% of the p99 tail to named spans.
+#      sgdtrace must attribute >= 95% of the p99 tail to named spans.
 #   2. storm: the same server under the storm fault plan (10x straggler +
 #      1% injected drops). The errors@99.9 objective burns its budget ~10x
 #      faster than allowed, so the multi-window alert must fire, and the
 #      exported spans must carry the injected faults.
 #
 # Both assertions run through the shipped binaries (sgdload -expect-alert,
-# sgdspan -min-attrib), so this exercises the same path an operator would.
+# sgdtrace -min-attrib), so this exercises the same path an operator would.
 set -eu
 
 GO=${GO:-go}
@@ -21,7 +21,7 @@ SLO_SPEC='latency<=1s@99,errors@99.9'
 echo "span-smoke: artifacts in $OUT"
 "$GO" build -o "$OUT/sgdserve" ./cmd/sgdserve
 "$GO" build -o "$OUT/sgdload" ./cmd/sgdload
-"$GO" build -o "$OUT/sgdspan" ./cmd/sgdspan
+"$GO" build -o "$OUT/sgdtrace" ./cmd/sgdtrace
 
 # phase NAME EXPECT [extra sgdserve flags...]: boot an instrumented server,
 # drive 2s of closed-loop load with trace IDs, assert the /slo state, shut
@@ -58,11 +58,11 @@ phase() {
 
 echo "span-smoke: phase 1/2 baseline (expect quiet SLO, attributable tail)"
 phase baseline quiet
-"$OUT/sgdspan" -min-attrib 0.95 -worst 1 "$OUT/baseline-spans.jsonl"
+"$OUT/sgdtrace" -spans -min-attrib 0.95 -worst 1 "$OUT/baseline-spans.jsonl"
 
 echo "span-smoke: phase 2/2 storm (expect SLO alert to fire)"
 phase storm fire -chaos-plan storm
 # The storm export must contain error-kept traces carrying injected faults.
-"$OUT/sgdspan" -keep error "$OUT/storm-spans.jsonl" >/dev/null
+"$OUT/sgdtrace" -spans -keep error "$OUT/storm-spans.jsonl" >/dev/null
 
 echo "span-smoke: ok"
