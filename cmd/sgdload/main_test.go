@@ -7,12 +7,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/model"
+	"repro/internal/race"
 	"repro/internal/serve"
 	"repro/internal/span"
 )
@@ -35,6 +37,18 @@ func startTestServer(t *testing.T, mutate ...func(*serve.Config)) string {
 	srv := httptest.NewServer(serve.NewServer(c).Handler())
 	t.Cleanup(func() { srv.Close(); c.Close() })
 	return srv.URL
+}
+
+// emulateTrainerUnderRace runs the test at one P under -race: the 4-thread
+// Hogwild trainer then takes its deterministic emulation, as on a one-core
+// host, instead of racing real threads on one shared model — racy by
+// design. Without -race the test runs unchanged.
+func emulateTrainerUnderRace(t *testing.T) {
+	if !race.Enabled {
+		return
+	}
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // instrumented wires a sample-everything tracer (no export) and an SLO with
@@ -101,6 +115,7 @@ func TestRunOpenLoopHTTP(t *testing.T) {
 }
 
 func TestRunInprocReportsSpeedupAndFingerprint(t *testing.T) {
+	emulateTrainerUnderRace(t)
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-inproc", "-duration", "150ms", "-conc", "8",
@@ -129,6 +144,7 @@ func TestRunInprocReportsSpeedupAndFingerprint(t *testing.T) {
 // populated accuracy probe with zero bound violations, and a deterministic
 // delta checksum (same seed + dataset => same quantiser output).
 func TestRunQuantABReport(t *testing.T) {
+	emulateTrainerUnderRace(t)
 	runOnce := func() report {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
@@ -177,6 +193,7 @@ func TestRunQuantABReport(t *testing.T) {
 // TestRunQuantABExpectSpeedupFails: an unmeetable -expect-speedup must fail
 // the check and exit 1 — the CI assertion actually bites.
 func TestRunQuantABExpectSpeedupFails(t *testing.T) {
+	emulateTrainerUnderRace(t)
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-quant-ab", "-duration", "100ms", "-conc", "4",

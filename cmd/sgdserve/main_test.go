@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/race"
 	"repro/internal/span"
 )
 
@@ -37,7 +39,20 @@ func (s *syncBuf) String() string {
 	return s.b.String()
 }
 
+// emulateTrainerUnderRace runs the test at one P under -race: the 4-thread
+// Hogwild trainer then takes its deterministic emulation, as on a one-core
+// host, instead of racing real threads on one shared model — racy by
+// design. Without -race the test runs unchanged.
+func emulateTrainerUnderRace(t *testing.T) {
+	if !race.Enabled {
+		return
+	}
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestRunOfflineServeForAndSnapshotRoundtrip(t *testing.T) {
+	emulateTrainerUnderRace(t)
 	snap := filepath.Join(t.TempDir(), "snap.json")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
@@ -62,6 +77,7 @@ func TestRunOfflineServeForAndSnapshotRoundtrip(t *testing.T) {
 }
 
 func TestRunOnlineModeHotSwaps(t *testing.T) {
+	emulateTrainerUnderRace(t)
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-addr", "127.0.0.1:0", "-maxn", "300", "-train", "-eval-every", "2",
@@ -84,6 +100,7 @@ func TestRunOnlineModeHotSwaps(t *testing.T) {
 // request through HTTP, reads /slo live, and checks the span export and
 // shutdown summary afterwards.
 func TestRunSpansAndSLOSmoke(t *testing.T) {
+	emulateTrainerUnderRace(t)
 	spansPath := filepath.Join(t.TempDir(), "spans.jsonl")
 	var stdout, stderr syncBuf
 	done := make(chan int, 1)
@@ -163,6 +180,7 @@ func TestRunSpansAndSLOSmoke(t *testing.T) {
 // live end to end: /healthz reports it, /predict answers, and the stats
 // report counts quantised batches.
 func TestRunQuantizedSmoke(t *testing.T) {
+	emulateTrainerUnderRace(t)
 	var stdout, stderr syncBuf
 	done := make(chan int, 1)
 	go func() {
@@ -276,6 +294,7 @@ func TestRunSnapshotDimMismatch(t *testing.T) {
 // /metrics its help text promises, next to expvar and pprof, from a mux of
 // its own — so a second in-process run starts its own without a panic.
 func TestRunDebugAddrTwice(t *testing.T) {
+	emulateTrainerUnderRace(t)
 	addrRE := regexp.MustCompile(`debug server on (\S+)`)
 	for i := 0; i < 2; i++ {
 		var stdout, stderr bytes.Buffer

@@ -31,7 +31,7 @@
 // worker out of 56. A synchronous barrier instead waits for the straggler's
 // full F-times share, stretching the epoch by ~F. That asymmetry is the
 // paper's sync-fragile/async-robust contrast as a measurable curve (see
-// internal/regress.Degradation and cmd/sgdchaos).
+// internal/regress.Degradation and `sgdgate chaos`).
 package chaos
 
 import (

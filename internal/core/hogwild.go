@@ -201,7 +201,7 @@ func (e *HogwildEngine) RunEpoch(w []float64) float64 {
 // off a shared counter over the shuffled permutation — so a straggler simply
 // contributes fewer updates and the epoch stretches by only
 // N/((N-S)+S/F), the asymmetry against the barriered synchronous engines
-// that cmd/sgdchaos measures. Each gradient is computed against the worker's
+// that `sgdgate chaos` measures. Each gradient is computed against the worker's
 // (possibly staleness-bounded) view and landed under the injector's fate. In
 // sequential mode the whole epoch runs on the seeded virtual-time scheduler
 // and replays bitwise; otherwise the workers race for real and only the

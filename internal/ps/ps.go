@@ -30,7 +30,7 @@
 // per-worker sequence number, so a retransmitted push is idempotent.
 //
 // Engine drives the tier as one more core.Engine configuration (ps-sync /
-// ps-async in the regress matrix); cmd/sgdps emits the degradation report
+// ps-async in the regress matrix); `sgdgate chaos` emits the degradation report
 // showing the barrier paying for a fault that apply-on-arrival absorbs.
 package ps
 

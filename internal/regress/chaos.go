@@ -23,8 +23,9 @@ type ChaosOpts struct {
 	// streams and (in sequential mode) the interleaving (0 = the config's
 	// BaseSeed).
 	Seed int64 `json:"seed"`
-	// Sequential runs the faulted epochs on the virtual-time scheduler,
-	// making them exactly replayable (and host-independent).
+	// Sequential runs the faulted epochs, and the healthy baseline of an
+	// asynchronous config, on the virtual-time scheduler, making the whole
+	// report exactly replayable (and host-independent).
 	Sequential bool `json:"sequential"`
 	// Deadline, when positive, arms the synchronous engines' barrier
 	// deadline (see chaos.Controller.Deadline); 0 is classic BSP.
@@ -76,7 +77,7 @@ type ChaosConfigReport struct {
 	Faulted       []ChaosRun `json:"faulted"`
 }
 
-// DegradationReport is the full matrix × plan outcome cmd/sgdchaos emits.
+// DegradationReport is the full matrix × plan outcome `sgdgate chaos` emits.
 type DegradationReport struct {
 	Plan    chaos.Plan          `json:"plan"`
 	Opts    ChaosOpts           `json:"opts"`
@@ -144,7 +145,17 @@ func RunChaos(c Config, plan chaos.Plan, opts ChaosOpts) (ChaosConfigReport, err
 	if len(intensities) == 0 {
 		intensities = []float64{1}
 	}
-	healthyLoss, healthyCum, err := runUnder(c, nil, seed)
+	// In sequential mode an asynchronous baseline runs on the same
+	// virtual-time scheduler as its faulted runs, under an empty plan:
+	// left to real goroutines it races, and every threshold below is cut
+	// from it, so the report would not replay.
+	var healthy *chaos.Controller
+	if opts.Sequential && !c.Deterministic() {
+		healthy = chaos.New(chaos.Plan{}, seed)
+		healthy.Sequential = true
+		healthy.Workers = c.Threads
+	}
+	healthyLoss, healthyCum, err := runUnder(c, healthy, seed)
 	if err != nil {
 		return ChaosConfigReport{}, err
 	}
@@ -210,9 +221,9 @@ func nominalRun(rep ChaosConfigReport) *ChaosRun {
 	return best
 }
 
-// isSyncStrategy classifies a strategy for the contrast summary: the
+// IsSyncStrategy classifies a strategy for the contrast summary and gate: the
 // barriered rows of the strategy table are the fragile side.
-func isSyncStrategy(s string) bool { return strategies[s].sync }
+func IsSyncStrategy(s string) bool { return strategies[s].sync }
 
 // Degradation runs the whole config set under the plan and summarises the
 // sync/async contrast at nominal intensity.
@@ -228,7 +239,7 @@ func Degradation(configs []Config, plan chaos.Plan, opts ChaosOpts) (Degradation
 		if nom == nil {
 			continue
 		}
-		if isSyncStrategy(c.Strategy) {
+		if IsSyncStrategy(c.Strategy) {
 			// An unreached sync run is infinite degradation: it can never
 			// be the mildest, so only reached runs enter the min.
 			if nom.Reached && (rep.MinSyncSlowdown < 0 || nom.Slowdown < rep.MinSyncSlowdown) {

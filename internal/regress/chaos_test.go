@@ -2,6 +2,7 @@ package regress
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/chaos"
@@ -126,6 +127,31 @@ func TestRunChaosSequentialReplay(t *testing.T) {
 	}
 	if a.Faulted[0].FinalLoss == c.Faulted[0].FinalLoss {
 		t.Error("different chaos seeds produced identical faulted curves")
+	}
+}
+
+// TestRunChaosReplaysPSAsync: under the sequential scheduler the whole
+// config report replays, not only the faulted curves. ps-async's healthy
+// baseline races real goroutines unless it runs on the same fault-free
+// virtual-time schedule, and every faulted threshold is cut from it.
+func TestRunChaosReplaysPSAsync(t *testing.T) {
+	cfg := PSMatrix()[1]
+	if cfg.Strategy != "ps-async" {
+		t.Fatal("matrix order changed")
+	}
+	cfg.N, cfg.Epochs = 200, 8
+	plan, _ := chaos.Lookup("storm")
+	opts := ChaosOpts{Seed: 1, Sequential: true}
+	a, err := RunChaos(cfg, plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunChaos(cfg, plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("sequential ps-async reports differ:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // MatrixFilter trims a config set along the strategy/device/dataset axes
-// and applies scale overrides — the shared flag plumbing of cmd/sgdchaos
-// and cmd/sgdps. Each axis filter is a comma-separated allow-list; empty
-// keeps every value.
+// and applies scale overrides — the matrix flags of cmd/sgdgate. Each axis
+// filter is a comma-separated allow-list; empty keeps every value.
 type MatrixFilter struct {
 	Strategies string
 	Devices    string

@@ -85,7 +85,7 @@ func TestStormDegradationClassifiesHeteroTier(t *testing.T) {
 	}
 	var syncRun *ChaosRun
 	for i := range rep.Configs {
-		if isSyncStrategy(rep.Configs[i].Strategy) {
+		if IsSyncStrategy(rep.Configs[i].Strategy) {
 			syncRun = nominalRun(rep.Configs[i])
 		}
 	}

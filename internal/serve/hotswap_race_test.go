@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/race"
 )
 
 // TestHotSwapNoTornReads hammers the snapshot store with publishes while
@@ -100,6 +102,14 @@ func TestHotSwapNoTornReads(t *testing.T) {
 // serving path under the race detector — and checks that served versions are
 // monotone and that training publishes actually landed mid-traffic.
 func TestOnlineTrainerPublishesWhileServing(t *testing.T) {
+	if race.Enabled {
+		// The 4-thread trainer's real threads race on one shared model —
+		// racy by design, and not what this test checks. One P sends it
+		// down its deterministic emulation, as on a one-core host; the
+		// publishes still interleave with the concurrent predicts.
+		old := runtime.GOMAXPROCS(1)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
 	assertNoLeak := leakCheck(t)
 	spec, err := data.Lookup("covtype")
 	if err != nil {

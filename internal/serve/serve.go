@@ -32,7 +32,7 @@
 //
 // Fault plans from internal/chaos thread through the dispatch path
 // (straggler batches, injected request drops), so degradation under load is
-// a measurable experiment exactly like the training storms of cmd/sgdchaos.
+// a measurable experiment exactly like the training storms of `sgdgate chaos`.
 // See DESIGN.md §12 and docs/ARCHITECTURE.md for the serving data flow;
 // cmd/sgdserve and cmd/sgdload are the binaries on top.
 package serve

