@@ -45,10 +45,10 @@ GATE_DIR ?= $(eval GATE_DIR := $(shell mktemp -d -t gate.XXXXXX))$(GATE_DIR)
 
 # gate runs every end-to-end gate, the one target CI's gate job calls (the
 # assertion list is DESIGN.md §10):
-#   - sgdgate compare: the full 14-config matrix (the paper's 8-way cube, the
-#     ps, Local-SGD and heterogeneous CPU+GPU tiers) at seeded gate scale
+#   - sgdgate compare: the full 12-config matrix (the paper's 8-way cube, the
+#     ps and Local-SGD tiers) at seeded gate scale
 #     against the committed goldens/envelopes;
-#   - sgdgate chaos: the same 14 configs under the storm fault plan on the
+#   - sgdgate chaos: the same 12 configs under the storm fault plan on the
 #     virtual-time scheduler; fails unless every synchronous config degrades
 #     at least 2x more than the worst asynchronous one, which must still
 #     reach its threshold — the paper's sync-fragile/async-robust contrast;
@@ -136,3 +136,4 @@ fuzz:
 	$(GO) test -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/obs
 	$(GO) test -fuzz FuzzParseObjectives -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/span
 	$(GO) test -fuzz FuzzMatrixFilter -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/regress
+	$(GO) test -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/serve

@@ -1,12 +1,11 @@
 // Command sgdgate is the regression gate for the engine matrix: it re-runs
 // every configuration of the paper's sync/async × CPU/GPU × dense/sparse
-// cube, plus the sharded parameter-server, Local-SGD and heterogeneous
-// CPU+GPU tiers (14 configs in all), at a small seeded scale. compare checks
-// the convergence curves against committed goldens (deterministic engines)
-// or quantile envelopes (asynchronous engines); chaos re-runs the matrix
-// under a named fault plan and reports how much each config's
-// time-to-threshold stretches — the paper's sync-fragile/async-robust
-// contrast as data.
+// cube, plus the sharded parameter-server and Local-SGD tiers (12 configs
+// in all), at a small seeded scale. compare checks the convergence curves
+// against committed goldens (deterministic engines) or quantile envelopes
+// (asynchronous engines); chaos re-runs the matrix under a named fault plan
+// and reports how much each config's time-to-threshold stretches — the
+// paper's sync-fragile/async-robust contrast as data.
 //
 // Subcommands:
 //

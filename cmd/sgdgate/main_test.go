@@ -13,15 +13,20 @@ import (
 
 func TestRunUsageErrors(t *testing.T) {
 	const usageLine = "usage: sgdgate {run|compare|chaos}"
+	// A filter naming a strategy the matrix lacks must list the ones it has.
+	remaining := []string{"sync", "async", "ps-sync", "ps-async", "local-sync", "local-async"}
 	cases := []struct {
 		args      []string
-		wantUsage bool // the subcommand itself is rejected, not one of its flags
+		wantUsage bool     // the subcommand itself is rejected, not one of its flags
+		mentions  []string // stderr must name each of these
 	}{
-		{nil, true},
-		{[]string{"nosuchsubcommand"}, true},
-		{[]string{"bench", "-baseline", "a.json", "-new", "b.json"}, true},
-		{[]string{"compare", "-badflag"}, false},
-		{[]string{"chaos", "-badflag"}, false},
+		{nil, true, nil},
+		{[]string{"nosuchsubcommand"}, true, nil},
+		{[]string{"bench", "-baseline", "a.json", "-new", "b.json"}, true, nil},
+		{[]string{"compare", "-badflag"}, false, nil},
+		{[]string{"chaos", "-badflag"}, false, nil},
+		{[]string{"compare", "-only", "hetero-"}, false, remaining},
+		{[]string{"chaos", "-strategies", "hetero-sync"}, false, remaining},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -30,6 +35,11 @@ func TestRunUsageErrors(t *testing.T) {
 		}
 		if tc.wantUsage && !strings.Contains(stderr.String(), usageLine) {
 			t.Errorf("run(%v) stderr %q lacks %q", tc.args, stderr.String(), usageLine)
+		}
+		for _, want := range tc.mentions {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("run(%v) stderr %q does not name %q", tc.args, stderr.String(), want)
+			}
 		}
 	}
 }
@@ -190,10 +200,10 @@ func TestAssertContrast(t *testing.T) {
 	}
 	// The sides come from the strategy table, so one report over every
 	// tier is one assertion.
-	if err := assertContrast(mk(9, 1.9, true, "sync", "async", "local-sync", "hetero-async"), 2); err != nil {
+	if err := assertContrast(mk(9, 1.9, true, "sync", "async", "local-sync", "ps-async"), 2); err != nil {
 		t.Errorf("engine ladder 9x vs 1.9x failed a 2x assertion: %v", err)
 	}
-	if err := assertContrast(mk(9, 1.9, true, "sync", "local-sync", "hetero-sync"), 2); err == nil {
+	if err := assertContrast(mk(9, 1.9, true, "sync", "local-sync", "ps-sync"), 2); err == nil {
 		t.Error("assertion passed with no async config")
 	}
 }

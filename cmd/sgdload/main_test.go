@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -114,6 +115,21 @@ func TestRunOpenLoopHTTP(t *testing.T) {
 	}
 }
 
+// checkPairedRuns asserts an in-process A/B listed every window, in the
+// alternating order a b, b a, a b.
+func checkPairedRuns(t *testing.T, runs []runReport, a, b string) {
+	t.Helper()
+	want := []string{a, b, b, a, a, b}
+	if len(runs) != len(want) {
+		t.Fatalf("A/B listed %d windows, want %d: %+v", len(runs), len(want), runs)
+	}
+	for i, r := range runs {
+		if r.Mode != want[i] {
+			t.Fatalf("window %d is %q, want %q (order %v)", i, r.Mode, want[i], want)
+		}
+	}
+}
+
 func TestRunInprocReportsSpeedupAndFingerprint(t *testing.T) {
 	emulateTrainerUnderRace(t)
 	var stdout, stderr bytes.Buffer
@@ -128,15 +144,16 @@ func TestRunInprocReportsSpeedupAndFingerprint(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
 		t.Fatalf("stdout is not a JSON report: %v", err)
 	}
-	if len(rep.Runs) != 2 || rep.Speedup <= 0 {
+	if rep.Speedup <= 0 {
 		t.Fatalf("A/B report = %+v", rep)
 	}
+	checkPairedRuns(t, rep.Runs, "inproc-unbatched", "inproc-batched")
 	if rep.Server == nil || rep.Server.FingerprintKey == "" {
 		t.Fatal("in-process report lacks the training fingerprint")
 	}
-	if rep.Runs[0].AvgBatch <= rep.Runs[1].AvgBatch {
+	if rep.Runs[1].AvgBatch <= rep.Runs[0].AvgBatch {
 		t.Fatalf("batched avg batch %.2f should exceed unbatched %.2f",
-			rep.Runs[0].AvgBatch, rep.Runs[1].AvgBatch)
+			rep.Runs[1].AvgBatch, rep.Runs[0].AvgBatch)
 	}
 }
 
@@ -162,9 +179,7 @@ func TestRunQuantABReport(t *testing.T) {
 		return rep
 	}
 	rep := runOnce()
-	if len(rep.Runs) != 2 || rep.Runs[0].Mode != "inproc-float" || rep.Runs[1].Mode != "inproc-quant" {
-		t.Fatalf("quant A/B phases = %+v", rep.Runs)
-	}
+	checkPairedRuns(t, rep.Runs, "inproc-float", "inproc-quant")
 	q := rep.Quant
 	if q == nil {
 		t.Fatal("report lacks the quant_ab section")
@@ -285,5 +300,33 @@ func TestRunUsageErrors(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("args %v: exit %d, want 2", args, code)
 		}
+	}
+}
+
+// pairedAB alternates which side runs first and gates on the median
+// per-pair ratio, so one slow window on either side moves the result by at
+// most one rank.
+func TestPairedABAlternatesAndTakesMedian(t *testing.T) {
+	var order []string
+	base, treat := []float64{5, 2, 4}, []float64{10, 10, 10}
+	runs, ratios, median := pairedAB(func(isTreat bool) runReport {
+		side, rps := "base", &base
+		if isTreat {
+			side, rps = "treat", &treat
+		}
+		order = append(order, side)
+		r := runReport{Mode: side, ThroughputRPS: (*rps)[0]}
+		*rps = (*rps)[1:]
+		return r
+	})
+	if got := strings.Join(order, " "); got != "base treat treat base base treat" {
+		t.Fatalf("run order %q", got)
+	}
+	checkPairedRuns(t, runs, "base", "treat")
+	if want := []float64{2, 5, 2.5}; !reflect.DeepEqual(ratios, want) {
+		t.Fatalf("per-pair ratios %v, want %v", ratios, want)
+	}
+	if median != 2.5 {
+		t.Fatalf("median %v, want 2.5", median)
 	}
 }

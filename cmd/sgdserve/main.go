@@ -61,6 +61,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/span"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -221,6 +222,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for e := 0; e < *pretrain; e++ {
 			eng.RunEpoch(w)
 		}
+		if !tensor.AllFinite(w) {
+			fmt.Fprintf(stderr, "sgdserve: pretraining diverged: the weights after %d epochs are not all finite (lower -step)\n", *pretrain)
+			return 1
+		}
 		meta.Epoch = *pretrain
 		meta.Loss = model.MeanLoss(m, w, ds)
 		store.PublishWeights(w, meta)
@@ -248,8 +253,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	stopTrainer := make(chan struct{})
 	trainerDone := make(chan struct{})
+	var tr *serve.Trainer
 	if *train && *snapshotPath == "" {
-		tr := &serve.Trainer{
+		tr = &serve.Trainer{
 			Engine: eng, Model: m, Data: ds, Store: store, W: w,
 			PublishEvery: *publishEvery, EvalEvery: *evalEvery,
 			MaxEpochs: *epochs, Meta: meta,
@@ -293,6 +299,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	close(stopTrainer)
 	<-trainerDone
+	if tr != nil {
+		logf("trainer refused %d non-finite snapshot(s) after %d epochs", tr.Refused(), tr.Epochs)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -76,6 +76,23 @@ func TestRunOfflineServeForAndSnapshotRoundtrip(t *testing.T) {
 	}
 }
 
+// A step that overflows the weights must stop sgdserve before it serves
+// them: a diverged -pretrain exits 1 with a message instead of publishing.
+func TestRunDivergedPretrainExits(t *testing.T) {
+	emulateTrainerUnderRace(t)
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-addr", "127.0.0.1:0", "-maxn", "300", "-pretrain", "2", "-step", "1e308",
+		"-serve-for", "100ms", "-quiet",
+	}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "pretraining diverged") {
+		t.Fatalf("exit %d, stderr %q; want 1 and a divergence message", code, stderr.String())
+	}
+	if strings.Contains(stdout.String(), "served") {
+		t.Errorf("a diverged model was served:\n%s", stdout.String())
+	}
+}
+
 func TestRunOnlineModeHotSwaps(t *testing.T) {
 	emulateTrainerUnderRace(t)
 	var stdout, stderr bytes.Buffer

@@ -22,8 +22,8 @@ import (
 //     controller (SetChaos(nil)) leaves the healthy bits untouched.
 //
 // Every row runs on a per-seed-deterministic path: modeled thread counts above
-// GOMAXPROCS (pinned to 2) take the emulated pipelines, the async replica and
-// hetero engines run on the sequencer, the GPU engines on the simulator.
+// GOMAXPROCS (pinned to 2) take the emulated pipelines, the async replica
+// engine runs on the sequencer, the GPU engines on the simulator.
 func TestEngineContracts(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -51,8 +51,6 @@ func TestEngineContracts(t *testing.T) {
 		}, false},
 		{"local-sync", lr, func() Engine { return NewLocalSGD(lr, sparse, 0.5, 4, 4) }, true},
 		{"local-async", lr, func() Engine { return NewAsyncLocalSGD(lr, sparse, 0.5, 4, 4) }, true},
-		{"hetero-sync", lr, func() Engine { return NewHetero(lr, sparse, 0.5, 4) }, true},
-		{"hetero-async", lr, func() Engine { return NewHeteroAsync(lr, sparse, 0.5, 4) }, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -169,10 +169,3 @@ func (d *Device) CostReduce(n int) Cost {
 	}
 	return d.finish(c)
 }
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

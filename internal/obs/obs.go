@@ -167,26 +167,6 @@ const (
 	// folded the whole vector. Divided by CounterLocalRounds·d it is the
 	// touched fraction of the dataset/K/H combination as observed.
 	CounterLocalMergedComponents
-	// CounterHeteroCPUBatches counts batches the heterogeneous co-training
-	// engines (internal/core HeteroEngine / HeteroAsyncEngine) assigned to
-	// the CPU worker pool in one epoch.
-	CounterHeteroCPUBatches
-	// CounterHeteroGPUBatches counts batches the heterogeneous engines
-	// dispatched to the simulated GPU in one epoch.
-	CounterHeteroGPUBatches
-	// CounterHeteroMerges counts weight-stream merges the heterogeneous
-	// engines performed: one end-of-epoch weighted average in sync mode, one
-	// apply-on-arrival blend per completed batch in async mode.
-	CounterHeteroMerges
-	// CounterHeteroCPUStalenessSum accumulates, over the async engine's CPU
-	// merges, the number of GPU merges published since the CPU stream last
-	// synchronised — how far behind the shared vector the CPU's private
-	// weights had drifted at each blend.
-	CounterHeteroCPUStalenessSum
-	// CounterHeteroGPUStalenessSum is the mirror image: CPU merges published
-	// between consecutive GPU blends. The two sums divided by
-	// CounterHeteroMerges give the mean cross-backend staleness.
-	CounterHeteroGPUStalenessSum
 	numCounters
 )
 
@@ -220,11 +200,6 @@ var counterNames = [numCounters]string{
 	CounterLocalRounds:           "local_rounds",
 	CounterLocalStalenessSum:     "local_staleness_sum",
 	CounterLocalMergedComponents: "local_merged_components",
-	CounterHeteroCPUBatches:      "hetero_cpu_batches",
-	CounterHeteroGPUBatches:      "hetero_gpu_batches",
-	CounterHeteroMerges:          "hetero_merges",
-	CounterHeteroCPUStalenessSum: "hetero_cpu_staleness_sum",
-	CounterHeteroGPUStalenessSum: "hetero_gpu_staleness_sum",
 }
 
 // String names the counter.
@@ -258,10 +233,6 @@ const (
 	// serving layer's own histogram, this distribution carries
 	// count/sum/min/max into traces.
 	MetricServeLatency
-	// MetricHeteroGPUShare is the realised fraction of an epoch's batches
-	// the heterogeneous engines ran on the GPU backend — the adaptive split
-	// ratio as actually executed, one observation per epoch.
-	MetricHeteroGPUShare
 	numMetrics
 )
 
@@ -274,7 +245,6 @@ var metricNames = [numMetrics]string{
 	MetricServeBatchSize:    "serve_batch_size",
 	MetricServeQueueDepth:   "serve_queue_depth",
 	MetricServeLatency:      "serve_latency_seconds",
-	MetricHeteroGPUShare:    "hetero_gpu_share",
 }
 
 // String names the metric.

@@ -35,16 +35,12 @@ import (
 // field.
 type Config struct {
 	// Strategy is "sync" or "async" for the in-process engines,
-	// "ps-sync" / "ps-async" for the sharded parameter-server tier,
-	// "local-sync" / "local-async" for the Local-SGD replica family, or
-	// "hetero-sync" / "hetero-async" for the heterogeneous CPU+GPU
-	// co-training engines.
+	// "ps-sync" / "ps-async" for the sharded parameter-server tier, or
+	// "local-sync" / "local-async" for the Local-SGD replica family.
 	Strategy string `json:"strategy"`
 	// Device is "cpu-seq", "cpu-par" or "gpu"; the ps strategies run on
-	// "cluster" (N workers pulling/pushing against a sharded server), the
-	// local strategies on "cpu-par" (Threads = replica count), and the
-	// hetero strategies on "cpu+gpu" (Threads = CPU replica count, the GPU
-	// side sized by occupancy).
+	// "cluster" (N workers pulling/pushing against a sharded server), and
+	// the local strategies on "cpu-par" (Threads = replica count).
 	Device string `json:"device"`
 	// Task is the model: "lr" or "svm" (the dense/sparse axis comes from
 	// the dataset).
@@ -86,13 +82,11 @@ type strategy struct {
 	// exact golden curve rather than a quantile envelope. Synchronous engines
 	// compute identical updates on every backend (the ViennaCL property,
 	// asserted bitwise by the core tests), the barriered ps tier drives its
-	// workers in a fixed order, barriered Local SGD advances only private
-	// replica state between averaging rounds, and synchronous heterogeneous
-	// co-training writes disjoint private vectors and merges in a fixed fold
-	// order. Every asynchronous engine is gated statistically, because with
-	// enough host cores its races are real (local-async and hetero-async
-	// replay exactly per seed but draw a fresh schedule per seed, so the
-	// multi-seed envelope is the meaningful gate).
+	// workers in a fixed order, and barriered Local SGD advances only private
+	// replica state between averaging rounds. Every asynchronous engine is
+	// gated statistically, because with enough host cores its races are real
+	// (local-async replays exactly per seed but draws a fresh schedule per
+	// seed, so the multi-seed envelope is the meaningful gate).
 	sync bool
 	// needsH marks the Local-SGD strategies: H must be set.
 	needsH bool
@@ -140,12 +134,6 @@ var strategies = map[string]strategy{
 	"local-async": {device: "cpu-par", needsH: true, name: localName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
 		return core.NewAsyncLocalSGD(m, ds, c.Step, c.Threads, c.H)
 	}},
-	"hetero-sync": {device: "cpu+gpu", sync: true, name: heteroName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
-		return core.NewHetero(m, ds, c.Step, c.Threads)
-	}},
-	"hetero-async": {device: "cpu+gpu", name: heteroName, build: func(c Config, m model.BatchModel, ds *data.Dataset) core.Engine {
-		return core.NewHeteroAsync(m, ds, c.Step, c.Threads)
-	}},
 }
 
 // inProcessName is the device axis of the in-process engines, and of any
@@ -165,10 +153,6 @@ func clusterName(c Config) string { return fmt.Sprintf("cluster(s%dw%d)", c.Shar
 // localName renders replica count and averaging granularity (see
 // LocalSGDEngine.Name), both of which change the gated curve.
 func localName(c Config) string { return fmt.Sprintf("cpu-par(%d)h%d", c.Threads, c.H) }
-
-// heteroName renders the CPU replica count (see HeteroEngine.Name); the GPU
-// side is implied by the device.
-func heteroName(c Config) string { return fmt.Sprintf("cpu+gpu(%d)", c.Threads) }
 
 // Deterministic reports whether the config is gated on an exact golden
 // curve rather than a quantile envelope (see strategy.sync).
@@ -330,33 +314,9 @@ func LocalMatrix() []Config {
 	})
 }
 
-// HeteroMatrix is the heterogeneous CPU+GPU co-training family at gate
-// scale: 8 CPU replicas co-training with the simulated K80, splitting each
-// epoch's shuffled batches by the adaptive throughput ratio. w8a keeps the
-// steps sparse, matching the Local-SGD tier whose merge discipline the sync
-// engine shares. hetero-sync overlaps the backends but merges in a fixed
-// fold order, so it is deterministic and gated on an exact golden;
-// hetero-async blends apply-on-arrival on the virtual-time sequencer —
-// replayable per seed, rescheduled across seeds — and carries an envelope.
-func HeteroMatrix() []Config {
-	return syncAsyncPair("hetero-sync", "hetero-async", Config{
-		Device:   "cpu+gpu",
-		Task:     "lr",
-		Dataset:  "w8a",
-		N:        400,
-		Threads:  8, // CPU replicas
-		Step:     0.5,
-		Epochs:   12,
-		Seeds:    5,
-		BaseSeed: 1,
-	})
-}
-
 // FullMatrix is every gated configuration: the paper's in-process cube, the
-// parameter-server tier, the Local-SGD family, and the heterogeneous
-// CPU+GPU family.
+// parameter-server tier and the Local-SGD family.
 func FullMatrix() []Config {
 	out := append(DefaultMatrix(), PSMatrix()...)
-	out = append(out, LocalMatrix()...)
-	return append(out, HeteroMatrix()...)
+	return append(out, LocalMatrix()...)
 }

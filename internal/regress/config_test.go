@@ -65,8 +65,6 @@ func TestConfigBuildRejects(t *testing.T) {
 		{"local-async device", func(c *Config) { c.Device = "cluster" }, "local-async", `regress: strategy "local-async" requires the cpu-par device, got "cluster"`},
 		{"local-sync H", func(c *Config) { c.H = 0 }, "local-sync", `regress: strategy "local-sync" requires H > 0`},
 		{"local-async H", func(c *Config) { c.H = -1 }, "local-async", `regress: strategy "local-async" requires H > 0`},
-		{"hetero-sync device", func(c *Config) { c.Device = "gpu" }, "hetero-sync", `regress: strategy "hetero-sync" requires the cpu+gpu device, got "gpu"`},
-		{"hetero-async device", func(c *Config) { c.Device = "cpu-par" }, "hetero-async", `regress: strategy "hetero-async" requires the cpu+gpu device, got "cpu-par"`},
 	}
 	for _, tc := range cases {
 		c := valid(tc.from)

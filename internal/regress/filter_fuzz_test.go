@@ -15,7 +15,7 @@ func FuzzMatrixFilter(f *testing.F) {
 	f.Add("ps-sync,ps-async", "", "", "", 100, 3, 2)
 	f.Add("local-sync", "gpu", "", "", 0, 0, 0)
 	f.Add(" sync , ,", "cpu-par", "w8a", "n400", -1, 0, 8)
-	f.Add("", "", "", "hetero-", 0, 12, 0)
+	f.Add("", "", "", "hetero-", 0, 12, 0) // a deleted tier: must be an error
 	f.Add(",", "", "", "", 0, 0, 0)
 	f.Add("", "", "covtype,covtype", "_t56_", 7, -3, 1)
 	f.Fuzz(func(t *testing.T, strategies, devices, datasets, only string, n, epochs, threads int) {

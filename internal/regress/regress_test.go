@@ -7,15 +7,15 @@ import (
 
 const goldenDir = "testdata/golden"
 
-// All 14 gated configurations — the paper's 8-way cube, the two
-// parameter-server tiers, the two Local-SGD configs, and the two
-// heterogeneous CPU+GPU configs — must have a committed golden of the right
-// discipline: exact curves for the deterministic synchronous engines,
-// quantile envelopes for the asynchronous ones.
+// All 12 gated configurations — the paper's 8-way cube, the two
+// parameter-server tiers and the two Local-SGD configs — must have a
+// committed golden of the right discipline: exact curves for the
+// deterministic synchronous engines, quantile envelopes for the
+// asynchronous ones.
 func TestMatrixFullyCovered(t *testing.T) {
 	configs := FullMatrix()
-	if len(configs) != 14 {
-		t.Fatalf("full matrix has %d configs, want the paper's 8 plus 2 ps tiers plus 2 local-sgd plus 2 hetero", len(configs))
+	if len(configs) != 12 {
+		t.Fatalf("full matrix has %d configs, want 12: the paper's 8 plus 2 ps tiers plus 2 local-sgd", len(configs))
 	}
 	for _, c := range configs {
 		key := c.Fingerprint().Key()
@@ -128,6 +128,10 @@ func TestMatrixFilterRejectsUnmatchedTokens(t *testing.T) {
 	}
 	if _, err := (MatrixFilter{Only: "no-such-key"}).Apply(m); err == nil {
 		t.Fatal("-only matching no fingerprint key produced no error")
+	}
+	// No config of the matrix runs on a CPU+GPU split.
+	if _, err := (MatrixFilter{Only: "hetero-"}).Apply(m); err == nil {
+		t.Fatal("-only hetero- matched a config of the deleted tier")
 	}
 	if _, err := (MatrixFilter{Strategies: "ps-sync", Devices: "gpu"}).Apply(m); err == nil {
 		t.Fatal("impossible strategy x device combination produced no error")

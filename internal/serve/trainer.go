@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // Trainer continuously trains a model with any core.Engine (typically
@@ -13,7 +14,8 @@ import (
 // and concurrent readers keep scoring against the previous immutable
 // snapshot until the atomic swap. Publication cadence is per-epoch (or
 // every PublishEvery epochs), which bounds snapshot staleness by one
-// epoch's wall time.
+// epoch's wall time. A diverged vector (NaN or ±Inf) is never published: the
+// last good snapshot stays installed and Refused counts the skipped publish.
 type Trainer struct {
 	// Engine advances W by one epoch per RunEpoch call.
 	Engine core.Engine
@@ -43,6 +45,21 @@ type Trainer struct {
 
 	// Epochs counts completed epochs (readable after Run returns).
 	Epochs int
+
+	refused int64
+}
+
+// Refused returns how many publishes Run skipped because the weights were
+// not all finite (readable after Run returns).
+func (t *Trainer) Refused() int64 { return t.refused }
+
+// publish installs a copy of W, unless W has diverged.
+func (t *Trainer) publish(meta Snapshot) {
+	if !tensor.AllFinite(t.W) {
+		t.refused++
+		return
+	}
+	t.Store.PublishWeights(t.W, meta)
 }
 
 // Run trains until MaxEpochs or stop closes, publishing snapshots along the
@@ -62,7 +79,7 @@ func (t *Trainer) Run(stop <-chan struct{}) {
 	if meta.Dim == 0 {
 		meta.Dim = t.Data.D()
 	}
-	t.Store.PublishWeights(t.W, meta)
+	t.publish(meta)
 	for epoch := 0; t.MaxEpochs == 0 || epoch < t.MaxEpochs; epoch++ {
 		select {
 		case <-stop:
@@ -76,7 +93,7 @@ func (t *Trainer) Run(stop <-chan struct{}) {
 		}
 		if (epoch+1)%publishEvery == 0 {
 			meta.Epoch = epoch + 1
-			t.Store.PublishWeights(t.W, meta)
+			t.publish(meta)
 		}
 	}
 }
