@@ -53,8 +53,9 @@ GATE_DIR ?= $(eval GATE_DIR := $(shell mktemp -d -t gate.XXXXXX))$(GATE_DIR)
 #     at least 2x more than the worst asynchronous one, which must still
 #     reach its threshold — the paper's sync-fragile/async-robust contrast;
 #   - the serving smokes below (serve-smoke, quant-smoke, span-smoke).
-# After an intentional behaviour change, regenerate the goldens with
-# gate-update and commit the new testdata.
+# After an intentional behaviour change, regenerate the goldens and the bit
+# ledger (internal/regress/testdata/bitledger.txt) with gate-update and
+# commit the new testdata.
 gate: serve-smoke quant-smoke span-smoke
 	$(GO) run ./cmd/sgdgate compare -report $(GATE_DIR)/gate-report.json
 	$(GO) run ./cmd/sgdgate chaos -plan storm -assert-contrast 2 -out $(GATE_DIR)/chaos-report.json
@@ -62,6 +63,7 @@ gate: serve-smoke quant-smoke span-smoke
 
 gate-update:
 	$(GO) run ./cmd/sgdgate compare -update
+	$(GO) test ./internal/regress -run '^TestBitLedger$$' -update
 
 # bench runs the system benchmark behind BENCHMARK.json: every workload once
 # at seed 1, end-to-end metrics only (~25 s each; the last stdout line of
