@@ -7,8 +7,8 @@ import (
 
 // goldenEvents drives the fixed epoch stream every epoch-trace golden under
 // testdata/ is built from: three runs covering every summary line (phase
-// shares, loss_eval, CAS retry rate, GPU lost-update and coalescing rates)
-// and two observation metrics.
+// shares, loss_eval, GPU lost-update and coalescing rates) and two
+// observation metrics.
 func goldenEvents(run func(engine, dataset string) obs.Recorder) {
 	r := run("sync/cpu-par(8)", "w8a")
 	for ep := 0; ep < 3; ep++ {
@@ -27,7 +27,6 @@ func goldenEvents(run func(engine, dataset string) obs.Recorder) {
 		r.Phase(obs.PhaseGradient, 0.3)
 		r.Phase(obs.PhaseUpdate, 0.15)
 		r.Add(obs.CounterWorkerUpdates, 5000)
-		r.Add(obs.CounterCASRetries, int64(17+ep))
 		r.Observe(obs.MetricWorkerShare, 0.25)
 		r.Observe(obs.MetricChaosSlowdown, 1.5)
 		r.EndEpoch(0.45)

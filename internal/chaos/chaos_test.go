@@ -130,6 +130,51 @@ func TestControllerNilAndInert(t *testing.T) {
 
 func (c *Controller) withSequential() *Controller { c.Sequential = true; return c }
 
+// TestNilWorkerIsHealthy: the nil *Worker reads the live vector, applies
+// every update and paces nothing.
+func TestNilWorkerIsHealthy(t *testing.T) {
+	var w *Worker
+	live := []float64{1, 2, 3}
+	if v := w.View(live); &v[0] != &live[0] || len(v) != len(live) {
+		t.Error("nil worker's View is not the live vector")
+	}
+	for i := 0; i < 3; i++ {
+		if f := w.Fate(); f != FateApply {
+			t.Fatalf("nil worker's Fate = %v, want FateApply", f)
+		}
+		w.Step() // must not panic
+	}
+}
+
+// TestInertRunHandsOutNilWorkers: a nil or disabled controller runs each
+// body exactly once, with the healthy nil worker, and records nothing.
+func TestInertRunHandsOutNilWorkers(t *testing.T) {
+	p := pool.New(2)
+	defer p.Close()
+	for name, c := range map[string]*Controller{"nil": nil, "disabled": {Workers: 7}} {
+		const n = 5
+		var calls [n]atomic.Int64
+		var nonNil atomic.Int64
+		c.Run(p, n, func(k int, w *Worker) {
+			calls[k].Add(1)
+			if w != nil {
+				nonNil.Add(1)
+			}
+		})
+		for k := range calls {
+			if got := calls[k].Load(); got != 1 {
+				t.Errorf("%s: body %d ran %d times, want 1", name, k, got)
+			}
+		}
+		if nonNil.Load() != 0 {
+			t.Errorf("%s: %d bodies got a non-nil worker", name, nonNil.Load())
+		}
+		if c != nil && c.Workers != 7 {
+			t.Errorf("%s: Run changed Workers to %d", name, c.Workers)
+		}
+	}
+}
+
 // TestControllerSequentialSlowdown: dynamic claiming under the virtual-time
 // scheduler reproduces the analytic async stretch.
 func TestControllerSequentialSlowdown(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 
 // Controller is what an engine holds to run its async workers under fault
 // injection and/or deterministic scheduling. A nil *Controller is inert:
-// every query on it reports "no chaos", so engines guard their chaos paths
-// with a single Enabled call.
+// every query on it reports "no chaos", and its Run hands each body the
+// healthy nil *Worker, so an engine writes its worker loop once.
 type Controller struct {
 	// Plan is the fault mix to inject.
 	Plan Plan
@@ -107,7 +107,9 @@ func (st *sspState) min() int64 {
 
 // Worker is the per-worker chaos handle an engine body consults: fault
 // fates per update, staleness-bounded parameter views, and the scheduling
-// step that paces stragglers and enforces the SSP bound.
+// step that paces stragglers and enforces the SSP bound. A nil *Worker is
+// the healthy worker: View returns the live vector, Fate applies every
+// update, and Step paces nothing.
 type Worker struct {
 	// Stream is the worker's deterministic fault stream.
 	Stream *Stream
@@ -123,13 +125,21 @@ type Worker struct {
 }
 
 // Fate decides the next update's fate (apply, drop, duplicate).
-func (w *Worker) Fate() Fate { return w.Stream.Fate() }
+func (w *Worker) Fate() Fate {
+	if w == nil {
+		return FateApply
+	}
+	return w.Stream.Fate()
+}
 
 // View returns the parameter vector the worker should read: live when the
 // plan has no staleness, otherwise a private snapshot refreshed every
 // Staleness updates, so gradients are computed against state up to that
 // many of the worker's own updates old while writes still land live.
 func (w *Worker) View(live []float64) []float64 {
+	if w == nil {
+		return live
+	}
 	s := w.Stream.Staleness()
 	if s <= 0 {
 		return live
@@ -155,6 +165,9 @@ func (w *Worker) View(live []float64) []float64 {
 // cost so its claim rate drops, and an over-bound SSP worker spins until
 // the slowest catches up.
 func (w *Worker) Step() {
+	if w == nil {
+		return
+	}
 	cost := w.Stream.Cost()
 	w.clock += cost
 	if w.st == nil {
@@ -189,10 +202,22 @@ func (c *Controller) StandaloneWorker(k int) *Worker {
 // one OS thread under the seeded virtual-time scheduler; otherwise they
 // dispatch on p (nil = the shared process pool) with real concurrency.
 // body(k, w) must perform worker k's whole work loop, calling w.Step once
-// per model update.
+// per model update. An inert controller (nil, or not Enabled) runs the
+// bodies on p with the healthy nil *Worker and records nothing.
 func (c *Controller) Run(p *pool.Pool, n int, body func(k int, w *Worker)) {
 	if n < 1 {
 		n = 1
+	}
+	if p == nil {
+		p = pool.Default()
+	}
+	if !c.Enabled() {
+		p.RunFunc(n, n, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				body(k, nil)
+			}
+		})
+		return
 	}
 	c.Workers = n
 	in := c.Injector()
@@ -218,9 +243,6 @@ func (c *Controller) Run(p *pool.Pool, n int, body func(k int, w *Worker)) {
 		}
 		s.Run()
 	} else {
-		if p == nil {
-			p = pool.Default()
-		}
 		p.RunFunc(n, n, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				body(k, workers[k])

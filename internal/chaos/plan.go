@@ -25,6 +25,9 @@
 //     the substrate every chaos test (and any future async regression
 //     test) stands on.
 //
+// A nil *Controller and a nil *Worker are the healthy ones (Controller.Run),
+// so an engine writes each worker loop once, faulted or not.
+//
 // The modeled-time story: a straggler does not change *what* the async
 // engines compute, only when; with dynamic work claiming the epoch stretch
 // is N/((N-S) + S/F) for S stragglers at factor F — near 1 for one slow

@@ -48,15 +48,16 @@ func fatedStep(s *chaos.Stream, m model.Model, ds *data.Dataset, w []float64, i 
 	}
 	capt.reset()
 	m.SGDStep(w, ds, i, step, capt, scr)
-	applyFate(fate, model.RawUpdater{}, w, capt)
+	applyFate(fate, w, capt)
 	return cost
 }
 
-// applyFate lands one captured update under the injector's verdict.
-func applyFate(f chaos.Fate, u model.Updater, w []float64, capt *captureUpdater) {
+// applyFate lands one captured update under the injector's verdict, with
+// plain stores.
+func applyFate(f chaos.Fate, w []float64, capt *captureUpdater) {
 	for t := fateTimes(f); t > 0; t-- {
 		for k, ix := range capt.idx {
-			u.Add(w, ix, capt.delta[k])
+			w[ix] += capt.delta[k]
 		}
 	}
 }

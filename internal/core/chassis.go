@@ -61,12 +61,15 @@ func (h *hooks) openStreams(k int) []*chaos.Stream {
 
 // standaloneWorker is openStreams for the engines that drive one serial or
 // simulator-paced stream themselves: worker 0's chaos handle (fates,
-// staleness views), or nil without an enabled controller.
+// staleness views), or the healthy nil worker without an enabled controller.
+// It is the epoch's only worker, so a straggler plan slows it by the full
+// factor (AsyncSlowdown(1) = F) unless the engine models more peers.
 func (h *hooks) standaloneWorker() *chaos.Worker {
 	h.streams = h.streams[:0]
 	if !h.Chaos.Enabled() {
 		return nil
 	}
+	h.Chaos.Workers = 1
 	cw := h.Chaos.StandaloneWorker(0)
 	h.streams = append(h.streams, cw.Stream)
 	return cw
@@ -74,9 +77,10 @@ func (h *hooks) standaloneWorker() *chaos.Worker {
 
 // chaosWorkers is how many worker bodies Controller.Run gets for an epoch of n
 // work items: the modeled thread count on the virtual-time scheduler, capped
-// by the host's cores when the bodies race for real, and within [1, n].
+// by the host's cores when the bodies race for real (always, without a
+// controller), and within [1, n].
 func (h *hooks) chaosWorkers(threads, n int) int {
-	if !h.Chaos.Sequential {
+	if h.Chaos == nil || !h.Chaos.Sequential {
 		threads = min(threads, runtime.GOMAXPROCS(0))
 	}
 	return max(1, min(threads, n))

@@ -22,8 +22,9 @@ import (
 //     controller (SetChaos(nil)) leaves the healthy bits untouched.
 //
 // Every row runs on a per-seed-deterministic path: modeled thread counts above
-// GOMAXPROCS (pinned to 2) take the emulated pipelines, the async replica
-// engine runs on the sequencer, the GPU engines on the simulator.
+// GOMAXPROCS (pinned to 2) take the emulated pipelines, one thread runs alone,
+// the async replica engine runs on the sequencer, the GPU engines on the
+// simulator.
 func TestEngineContracts(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -33,6 +34,16 @@ func TestEngineContracts(t *testing.T) {
 	lr := model.NewLR(sparse.D())
 	denseLR := model.NewLR(dense.D())
 	mlp := model.NewMLPFor(denseSpec)
+	// hogbatch builds an MLP Hogbatch row at batch 32; Threads 1 runs the
+	// parallel mode's real pool path with one worker.
+	hogbatch := func(mode HogbatchMode, threads int) func() Engine {
+		return func() Engine {
+			e := NewHogbatch(mlp, dense, 0.1, mode)
+			e.Batch = 32
+			e.Threads = threads
+			return e
+		}
+	}
 
 	rows := []struct {
 		name   string
@@ -44,11 +55,10 @@ func TestEngineContracts(t *testing.T) {
 		{"hogwild/seq", lr, func() Engine { return NewHogwild(lr, sparse, 0.5, 1) }, true},
 		{"hogwild/emulated", lr, func() Engine { return NewHogwild(lr, sparse, 0.5, 56) }, true},
 		{"gpu-hogwild", denseLR, func() Engine { return NewGPUHogwild(denseLR, dense, 0.1) }, true},
-		{"hogbatch/mlp", mlp, func() Engine {
-			e := NewHogbatch(mlp, dense, 0.1, HogbatchParCPU)
-			e.Batch = 32
-			return e
-		}, false},
+		{"hogbatch/mlp", mlp, hogbatch(HogbatchParCPU, 56), false},
+		{"hogbatch/par-1", mlp, hogbatch(HogbatchParCPU, 1), false},
+		{"hogbatch/seq", mlp, hogbatch(HogbatchSeq, 56), false},
+		{"hogbatch/gpu", mlp, hogbatch(HogbatchGPU, 56), false},
 		{"local-sync", lr, func() Engine { return NewLocalSGD(lr, sparse, 0.5, 4, 4) }, true},
 		{"local-async", lr, func() Engine { return NewAsyncLocalSGD(lr, sparse, 0.5, 4, 4) }, true},
 	}

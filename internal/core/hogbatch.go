@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/chaos"
@@ -158,11 +157,7 @@ func (e *HogbatchEngine) RunEpoch(w []float64) float64 {
 		}
 		sec, upd = e.runSerial(w, e.gpuBack)
 	case HogbatchParCPU:
-		if e.Chaos.Enabled() {
-			sec = e.runParallelChaos(w)
-		} else {
-			sec = e.runParallel(w)
-		}
+		sec = e.runParallel(w)
 	default:
 		if e.seqBack == nil {
 			e.seqBack = linalg.NewCPU(1)
@@ -202,11 +197,6 @@ func (e *HogbatchEngine) runSerial(w []float64, b linalg.Backend) (total, upd fl
 	rec, _ := e.recorder()
 	scale := costScale(e.CostScale)
 	cw := e.standaloneWorker()
-	if cw != nil {
-		// The serial path has one worker, so a straggler plan slows it by
-		// the full factor (AsyncSlowdown(1) = F) — no peers to absorb it.
-		e.Chaos.Workers = 1
-	}
 	start := b.Meter().Seconds()
 	if len(e.g) != e.Model.NumParams() {
 		e.g = make([]float64, e.Model.NumParams())
@@ -215,84 +205,43 @@ func (e *HogbatchEngine) runSerial(w []float64, b linalg.Backend) (total, upd fl
 	for k, nb := 0, e.numBatches(); k < nb; k++ {
 		e.rows = e.batchRows(e.rows, k)
 		b0 := b.Meter().Seconds()
-		if cw == nil {
-			e.Model.BatchGrad(b, w, e.Data, e.rows, g)
-			u0 := b.Meter().Seconds()
-			b.Axpy(-e.Step, g, w)
-			upd += b.Meter().Seconds() - u0
-		} else {
-			e.Model.BatchGrad(b, cw.View(w), e.Data, e.rows, g)
-			u0 := b.Meter().Seconds()
-			if t := fateTimes(cw.Fate()); t > 0 {
-				b.Axpy(-float64(t)*e.Step, g, w)
-			}
-			upd += b.Meter().Seconds() - u0
-			cw.Step()
+		e.Model.BatchGrad(b, cw.View(w), e.Data, e.rows, g)
+		u0 := b.Meter().Seconds()
+		if t := fateTimes(cw.Fate()); t > 0 {
+			b.Axpy(-float64(t)*e.Step, g, w)
 		}
+		upd += b.Meter().Seconds() - u0
+		cw.Step()
 		rec.Observe(obs.MetricBatchSeconds, (b.Meter().Seconds()-b0+e.PerBatchOverhead)*scale)
 	}
 	return b.Meter().Seconds() - start, upd
 }
 
 // runParallel runs batches on concurrent workers sharing w: each worker
-// computes its batch gradient against whatever model state it observes and
-// applies it with unsynchronised writes — real Hogbatch races. Modeled time
-// divides the single-thread kernel work by the measured-efficiency parallel
-// factor. When the host lacks the cores to exhibit Threads-way asynchrony,
-// the staleness is emulated with a delayed-application pipeline instead
-// (gradients computed against the model as of dispatch, applied
-// pipeline-depth batches later) — the regime in which the paper observes
-// the w8a statistical-efficiency blow-up (Table III: 10,635 epochs).
+// claims batches off a shared counter (a worker that draws cheap batches
+// immediately takes more, which is also why a chaos straggler stretches the
+// epoch so little), computes its batch gradient against whatever model state
+// it observes, and applies it with unsynchronised writes — real Hogbatch
+// races. Under an enabled controller each gradient is computed against the
+// worker's staleness-bounded view and landed under its injector fate; in
+// sequential mode the whole epoch runs on the virtual-time scheduler with
+// the full modeled thread count and replays bitwise. Modeled time divides
+// the single-thread kernel work by the measured-efficiency parallel factor.
+// When no controller is enabled and the host lacks the cores to exhibit
+// Threads-way asynchrony, the staleness is emulated with a delayed-
+// application pipeline instead (gradients computed against the model as of
+// dispatch, applied pipeline-depth batches later) — the regime in which the
+// paper observes the w8a statistical-efficiency blow-up (Table III: 10,635
+// epochs).
 func (e *HogbatchEngine) runParallel(w []float64) float64 {
 	nb := e.numBatches()
-	workers := min(e.Threads, runtime.GOMAXPROCS(0), nb)
-	if workers < e.Threads && workers < nb {
+	workers := e.chaosWorkers(e.Threads, nb)
+	if !e.Chaos.Enabled() && workers < e.Threads && workers < nb {
 		return e.runEmulatedParallel(w, nb)
 	}
 	e.ensureWorkers(workers)
 	var next atomic.Int64
-	// Worker p of the pool dispatch owns backend/gradient/row buffers p;
-	// batches are claimed off the shared atomic counter, so a worker that
-	// draws cheap batches immediately takes more — the same dynamic
-	// balancing as the seed's goroutine version, minus the per-epoch
-	// goroutine spawns and per-worker allocations.
-	e.workerPool().RunFunc(workers, workers, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			bk := e.workerBk[p]
-			start := bk.Meter().Seconds()
-			g := e.workerG[p]
-			rows := e.workerRows[p][:0]
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= nb {
-					break
-				}
-				rows = e.batchRows(rows, k)
-				e.Model.BatchGrad(bk, w, e.Data, rows, g)
-				applyGrad(w, g, e.Step)
-			}
-			e.workerRows[p] = rows
-			e.workerSec[p] = bk.Meter().Seconds() - start
-		}
-	})
-	var work float64
-	for p := 0; p < workers; p++ {
-		work += e.workerSec[p]
-	}
-	return work / e.parSpeedup()
-}
-
-// runParallelChaos is runParallel under the fault controller: workers still
-// claim batches dynamically (which is exactly why the straggler stretch
-// stays small), but each batch gradient is computed against the worker's
-// staleness-bounded view and landed under its injector fate. In sequential
-// mode the whole epoch runs on the virtual-time scheduler with the full
-// modeled thread count and replays bitwise.
-func (e *HogbatchEngine) runParallelChaos(w []float64) float64 {
-	nb := e.numBatches()
-	workers := e.chaosWorkers(e.Threads, nb)
-	e.ensureWorkers(workers)
-	var next atomic.Int64
+	// Worker p owns backend/gradient/row buffers p.
 	e.Chaos.Run(e.Pool, workers, func(p int, cw *chaos.Worker) {
 		bk := e.workerBk[p]
 		start := bk.Meter().Seconds()

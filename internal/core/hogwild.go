@@ -32,14 +32,14 @@ type FullScaleStats struct {
 // from the NUMA cost model, including the cache-coherence penalty of the
 // scattered concurrent writes.
 //
-// The recorder receives phase timings (gradient = streaming read+compute,
-// update = scattered model writes incl. coherence), the per-epoch update
-// count, each worker's share of the updates, and — when Updater implements
-// model.RetryCounter — the CAS-retry delta. Under an enabled chaos controller
-// workers claim examples dynamically, read through staleness-bounded views,
-// land updates under injector fates, and — in sequential mode — interleave
-// on the seeded virtual-time scheduler, making the racy update order exactly
-// replayable.
+// Every write is a plain store (model.RawUpdater). The recorder receives phase
+// timings (gradient = streaming read+compute, update = scattered model writes
+// incl. coherence), the per-epoch update count and each worker's share of the
+// updates. Healthy epochs run static nnz-balanced segments; under an enabled
+// chaos controller workers claim examples dynamically, read through
+// staleness-bounded views, land updates under injector fates, and — in
+// sequential mode — interleave on the seeded virtual-time scheduler, making
+// the racy update order exactly replayable.
 type HogwildEngine struct {
 	poolHooks
 	shuffle
@@ -49,9 +49,6 @@ type HogwildEngine struct {
 	// Threads is the modeled hardware-thread count (the paper uses 1 and
 	// 56).
 	Threads int
-	// Updater selects the write discipline: model.RawUpdater (classic
-	// Hogwild benign races) or model.AtomicUpdater (lock-free CAS adds).
-	Updater model.Updater
 	// Cost prices epochs; defaults to the paper machine.
 	Cost *numa.Model
 	// CostScale inflates the modeled update count and data volume to the
@@ -65,10 +62,9 @@ type HogwildEngine struct {
 	// statistics avoid that.
 	Full *FullScaleStats
 
-	epochCost   float64
-	gradCost    float64
-	updCost     float64
-	lastRetries int64
+	epochCost float64
+	gradCost  float64
+	updCost   float64
 
 	task      hogwildTask     // pre-bound concurrent-path task
 	bounds    []int           // nnz-balanced segment bounds over perm, reused
@@ -81,8 +77,8 @@ type HogwildEngine struct {
 	capture   captureUpdater
 }
 
-// NewHogwild builds the engine with the paper-machine cost model, raw
-// updates, and a deterministic shuffle seed.
+// NewHogwild builds the engine with the paper-machine cost model and a
+// deterministic shuffle seed.
 func NewHogwild(m model.Model, ds *data.Dataset, step float64, threads int) *HogwildEngine {
 	return &HogwildEngine{
 		shuffle: newShuffle(),
@@ -90,7 +86,6 @@ func NewHogwild(m model.Model, ds *data.Dataset, step float64, threads int) *Hog
 		Data:    ds,
 		Step:    step,
 		Threads: threads,
-		Updater: model.RawUpdater{},
 		Cost:    numa.PaperMachine(),
 	}
 }
@@ -127,9 +122,8 @@ func (e *HogwildEngine) prepare() {
 	e.epochCost = e.gradCost + e.updCost
 }
 
-// record emits one epoch's phase decomposition, worker shares, and (when the
-// updater counts CAS retries) the contention delta. shares are the fraction
-// of the epoch's updates each worker executed.
+// record emits one epoch's phase decomposition and worker shares: the
+// fraction of the epoch's updates each worker executed.
 func (e *HogwildEngine) record(shares []float64) {
 	rec, on := e.recorder()
 	if !on {
@@ -140,11 +134,6 @@ func (e *HogwildEngine) record(shares []float64) {
 	rec.Add(obs.CounterWorkerUpdates, int64(len(e.perm)))
 	for _, s := range shares {
 		rec.Observe(obs.MetricWorkerShare, s)
-	}
-	if rc, ok := e.Updater.(model.RetryCounter); ok {
-		total := rc.Retries()
-		rec.Add(obs.CounterCASRetries, total-e.lastRetries)
-		e.lastRetries = total
 	}
 }
 
@@ -166,20 +155,12 @@ func (e *HogwildEngine) RunEpoch(w []float64) float64 {
 		e.record(e.shares)
 		return e.epochCost
 	}
-	if workers <= 1 {
-		scr := e.Model.NewScratch()
-		upd := e.Updater
-		for _, i := range e.perm {
-			e.Model.SGDStep(w, e.Data, i, e.Step, upd, scr)
-		}
-		e.record([]float64{1})
-		return e.epochCost
-	}
 	// Split the shuffled permutation into segments of approximately equal
 	// nnz, not equal example count: on heavy-tailed data even counts leave
 	// most workers idle behind the one that drew the wide rows, and an idle
 	// worker understates the update interleaving the paper's asynchrony
-	// analysis is about. Segments run on the persistent pool.
+	// analysis is about. Segments run on the persistent pool; a single
+	// segment runs inline on the caller.
 	n := len(e.perm)
 	e.bounds = e.Data.X.PartitionRowsNNZ(e.perm, workers, e.bounds[:0])
 	nseg := len(e.bounds) - 1
@@ -232,7 +213,7 @@ func (e *HogwildEngine) runChaos(w []float64) float64 {
 			claims[k]++
 			capt.reset()
 			e.Model.SGDStep(cw.View(w), e.Data, e.perm[t], e.Step, capt, scr)
-			applyFate(cw.Fate(), e.Updater, w, capt)
+			applyFate(cw.Fate(), w, capt)
 			cw.Step()
 		}
 	})
@@ -265,9 +246,8 @@ func (t *hogwildTask) Run(lo, hi int) {
 	e := t.e
 	for k := lo; k < hi; k++ {
 		scr := e.scratches[k]
-		upd := e.Updater
 		for _, i := range e.perm[e.bounds[k]:e.bounds[k+1]] {
-			e.Model.SGDStep(t.w, e.Data, i, e.Step, upd, scr)
+			e.Model.SGDStep(t.w, e.Data, i, e.Step, model.RawUpdater{}, scr)
 		}
 	}
 }
@@ -311,7 +291,7 @@ func (e *HogwildEngine) runEmulated(w []float64, p int) {
 	capture := &e.capture
 	apply := func(u *inflightUpdate) {
 		for k, ix := range u.idx {
-			e.Updater.Add(w, ix, u.delta[k])
+			w[ix] += u.delta[k]
 		}
 	}
 	active := p

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/linalg"
@@ -86,21 +85,6 @@ func TestHogwildRecordsPhasesAndWorkerCounters(t *testing.T) {
 	}
 }
 
-func TestHogwildCASRetryCounterMatchesUpdater(t *testing.T) {
-	ds, _ := smallDataset(t, "covtype", 300)
-	m := model.NewLR(ds.D())
-	e := NewHogwild(m, ds, 0.5, sharedModelThreads())
-	upd := &model.CountingAtomicUpdater{}
-	e.Updater = upd
-	w := m.InitParams(1)
-	r := runInstrumented(t, e, w, 2)
-	// The per-epoch deltas must reassemble the updater's cumulative count,
-	// whatever contention the host actually exhibited.
-	if got, want := r.Counter(obs.CounterCASRetries), upd.Retries(); got != want {
-		t.Fatalf("cas_retries = %d, updater reports %d", got, want)
-	}
-}
-
 // TestHogwildSequentialEpochAllocatesNothing pins the plain sequential epoch
 // (threads 1, LR, recorder detached) at zero allocations once warm. It must be
 // the sequential engine: AllocsPerRun pins GOMAXPROCS to 1, which would push a
@@ -115,32 +99,6 @@ func TestHogwildSequentialEpochAllocatesNothing(t *testing.T) {
 	e.RunEpoch(w) // warm: permutation and cost inputs are built on first use
 	if allocs := testing.AllocsPerRun(3, func() { e.RunEpoch(w) }); allocs != 0 {
 		t.Errorf("warm sequential Hogwild epoch allocates %.0f times, want 0", allocs)
-	}
-}
-
-func TestCountingAtomicUpdaterUnderContention(t *testing.T) {
-	// Hammer one component from several goroutines: the CAS discipline
-	// must not lose a single increment, and the retry counter stays
-	// consistent with that (>= 0, exact value is host-dependent).
-	w := make([]float64, 4)
-	upd := &model.CountingAtomicUpdater{}
-	const goroutines, per = 8, 5000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				upd.Add(w, 0, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if w[0] != goroutines*per {
-		t.Fatalf("CAS updater lost updates: w[0] = %v, want %v", w[0], goroutines*per)
-	}
-	if upd.Retries() < 0 {
-		t.Fatalf("negative retry count %d", upd.Retries())
 	}
 }
 

@@ -14,13 +14,11 @@
 //
 // Models are stateless; all parameters live in a flat []float64 so the
 // asynchronous engines can share one vector between threads and apply
-// unsynchronised or atomic component updates uniformly.
+// unsynchronised component updates to it.
 package model
 
 import (
 	"math/rand"
-	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/data"
 	"repro/internal/pool"
@@ -28,9 +26,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Updater abstracts how a component update lands in the shared model:
-// RawUpdater stores with a benign race (classic Hogwild), AtomicUpdater uses
-// a compare-and-swap loop (DimmWitted-style lock-free add).
+// Updater abstracts how a component update lands in the model: RawUpdater
+// stores with a benign race (classic Hogwild); the engines' capturing and
+// write-set-tracking updaters record the update instead of, or beside,
+// landing it.
 type Updater interface {
 	// Add performs w[i] += delta under the updater's memory discipline.
 	Add(w []float64, i int, delta float64)
@@ -42,58 +41,6 @@ type RawUpdater struct{}
 
 // Add implements Updater with an unsynchronised read-modify-write.
 func (RawUpdater) Add(w []float64, i int, delta float64) { w[i] += delta }
-
-// AtomicUpdater applies updates with a float64 CAS loop, so no increment is
-// ever lost (stale gradients remain possible — that is inherent to
-// asynchrony, not to the write discipline).
-type AtomicUpdater struct{}
-
-// Add implements Updater with a compare-and-swap retry loop.
-func (AtomicUpdater) Add(w []float64, i int, delta float64) {
-	p := (*uint64)(unsafe.Pointer(&w[i]))
-	for {
-		oldBits := atomic.LoadUint64(p)
-		newVal := float64frombits(oldBits) + delta
-		if atomic.CompareAndSwapUint64(p, oldBits, float64bits(newVal)) {
-			return
-		}
-	}
-}
-
-// RetryCounter is implemented by updaters that count failed CAS attempts;
-// the observability layer reads it to surface contention (each retry is one
-// update the raw discipline would have lost to a concurrent writer).
-type RetryCounter interface {
-	// Retries returns the cumulative failed-CAS count.
-	Retries() int64
-}
-
-// CountingAtomicUpdater is AtomicUpdater with CAS-retry accounting. Use one
-// instance per engine; the counter is cumulative across epochs and the
-// engine reports per-epoch deltas.
-type CountingAtomicUpdater struct {
-	retries atomic.Int64
-}
-
-// Add implements Updater with a compare-and-swap retry loop, counting every
-// failed attempt.
-func (u *CountingAtomicUpdater) Add(w []float64, i int, delta float64) {
-	p := (*uint64)(unsafe.Pointer(&w[i]))
-	for {
-		oldBits := atomic.LoadUint64(p)
-		newVal := float64frombits(oldBits) + delta
-		if atomic.CompareAndSwapUint64(p, oldBits, float64bits(newVal)) {
-			return
-		}
-		u.retries.Add(1)
-	}
-}
-
-// Retries implements RetryCounter.
-func (u *CountingAtomicUpdater) Retries() int64 { return u.retries.Load() }
-
-func float64bits(f float64) uint64     { return *(*uint64)(unsafe.Pointer(&f)) }
-func float64frombits(b uint64) float64 { return *(*float64)(unsafe.Pointer(&b)) }
 
 // Scratch holds per-worker temporary buffers (activations, deltas). Each
 // concurrent worker owns one; models define their own concrete type.

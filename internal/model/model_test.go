@@ -3,7 +3,6 @@ package model
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -238,38 +237,6 @@ func TestGradSupport(t *testing.T) {
 		if got := mlp.GradSupport(ds, i); got != want {
 			t.Fatalf("MLP support = %d, want %d", got, want)
 		}
-	}
-}
-
-func TestAtomicUpdaterEquivalentSequential(t *testing.T) {
-	w1 := []float64{1, 2, 3}
-	w2 := []float64{1, 2, 3}
-	RawUpdater{}.Add(w1, 1, 0.5)
-	AtomicUpdater{}.Add(w2, 1, 0.5)
-	if w1[1] != w2[1] {
-		t.Fatalf("updaters disagree: %v vs %v", w1[1], w2[1])
-	}
-}
-
-func TestAtomicUpdaterLosesNoUpdates(t *testing.T) {
-	// Under heavy contention every atomic add must land.
-	w := make([]float64, 1)
-	const workers = 8
-	const adds = 5000
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			u := AtomicUpdater{}
-			for k := 0; k < adds; k++ {
-				u.Add(w, 0, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if w[0] != workers*adds {
-		t.Fatalf("atomic adds lost: %v, want %v", w[0], workers*adds)
 	}
 }
 

@@ -254,9 +254,6 @@ func WriteRunSummary(b *strings.Builder, r *RunStats) {
 	if len(parts) > 0 {
 		fmt.Fprintf(b, "  counters: %s\n", strings.Join(parts, " "))
 	}
-	if retries, upd := r.Counters[CounterCASRetries], r.Counters[CounterWorkerUpdates]; retries > 0 && upd > 0 {
-		fmt.Fprintf(b, "  CAS retry rate: %.2f%%\n", 100*float64(retries)/float64(upd))
-	}
 	if emitted := r.Counters[CounterGPUUpdates]; emitted > 0 {
 		lost := r.Counters[CounterGPULostIntra] + r.Counters[CounterGPULostInter]
 		fmt.Fprintf(b, "  gpu lost-update rate: %.2f%% (intra %.2f%%, inter %.2f%%)\n",

@@ -125,7 +125,7 @@ func (h *Hist) WriteProm(w io.Writer, name, help string) {
 }
 
 // atomicFloat is a float64 with atomic Add and monotonic Max via CAS on the
-// bit pattern (the same discipline as model.AtomicUpdater).
+// bit pattern.
 type atomicFloat struct{ bits atomic.Uint64 }
 
 func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }

@@ -15,7 +15,7 @@ import (
 // each input is tried as epoch events and as span traces.
 func FuzzReadJSONL(f *testing.F) {
 	for _, seed := range []string{
-		`{"engine":"async/gpu","dataset":"w8a","epoch":2,"seconds":0.5,"phases":{"gradient":0.3},"counters":{"cas_retries":4},"observations":{"batch_seconds":{"count":2,"sum":0.1,"min":0.04,"max":0.06}}}` + "\n",
+		`{"engine":"async/gpu","dataset":"w8a","epoch":2,"seconds":0.5,"phases":{"gradient":0.3},"counters":{"batches":4},"observations":{"batch_seconds":{"count":2,"sum":0.1,"min":0.04,"max":0.06}}}` + "\n",
 		`{"trace":"00000000000000ab","root":"predict","dur_us":1200,"keep":"fault","fault":"straggler","spans":[{"name":"score","parent":"","start_us":0,"dur_us":900,"worker":-1,"fault":"straggler"}]}` + "\n",
 		"\n\n{}\nnull\n",
 		`{"phases":{},"spans":[]}`,

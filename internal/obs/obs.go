@@ -3,8 +3,8 @@
 // hardware and statistical efficiency; this package exposes the *why* behind
 // each configuration's numbers: per-epoch phase timings (gradient compute,
 // model update, synchronisation, loss evaluation), typed counters for the
-// racy behaviour that drives the Hogwild findings (worker update counts, CAS
-// retries, SIMT lost updates, coalesced memory transactions), and sampled
+// racy behaviour that drives the Hogwild findings (worker update counts, SIMT
+// lost updates, coalesced memory transactions), and sampled
 // distributions (batch latencies, divergent-warp fractions).
 //
 // The design constraint is that uninstrumented runs pay ~zero cost: every
@@ -77,10 +77,6 @@ const (
 	// workers (examples for Hogwild, mini-batch applications for
 	// Hogbatch).
 	CounterWorkerUpdates Counter = iota
-	// CounterCASRetries counts failed compare-and-swap attempts of the
-	// lock-free atomic updater (model.CountingAtomicUpdater) — each retry
-	// is one update the raw Hogwild discipline would have lost.
-	CounterCASRetries
 	// CounterBatches counts mini-batches (or linear-algebra batches)
 	// executed in the epoch.
 	CounterBatches
@@ -173,7 +169,6 @@ const (
 // counterNames names each counter as it appears in traces and metric labels.
 var counterNames = [numCounters]string{
 	CounterWorkerUpdates:         "worker_updates",
-	CounterCASRetries:            "cas_retries",
 	CounterBatches:               "batches",
 	CounterGPUUpdates:            "gpu_updates",
 	CounterGPULostIntra:          "gpu_lost_intra",

@@ -13,7 +13,7 @@ func driveRun(r Recorder) {
 	r.Phase(PhaseUpdate, 0.2)
 	r.Phase(PhaseBarrier, 0.1)
 	r.Add(CounterWorkerUpdates, 1000)
-	r.Add(CounterCASRetries, 31)
+	r.Add(CounterBatches, 31)
 	r.Observe(MetricBatchSeconds, 0.01)
 	r.Observe(MetricBatchSeconds, 0.03)
 	r.Phase(PhaseLossEval, 0.005)
@@ -136,7 +136,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if ev.Seconds != 1.0 || ev.Phases["gradient"] != 0.7 || ev.Phases["loss_eval"] != 0.005 {
 		t.Fatalf("event payload %+v", ev)
 	}
-	if ev.Counters["cas_retries"] != 31 {
+	if ev.Counters["batches"] != 31 {
 		t.Fatalf("counters %+v", ev.Counters)
 	}
 	d := ev.Observations["batch_seconds"]
@@ -146,8 +146,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if events[1].Epoch != 1 {
 		t.Fatalf("second epoch numbered %d", events[1].Epoch)
 	}
-	// Epoch 2 of each run: no cas_retries key (counters reset per epoch).
-	if _, ok := events[1].Counters["cas_retries"]; ok {
+	// Epoch 2 of each run: no batches key (counters reset per epoch).
+	if _, ok := events[1].Counters["batches"]; ok {
 		t.Fatal("epoch buckets not reset between epochs")
 	}
 }
@@ -190,7 +190,7 @@ func TestAggregatorTotalsAndSnapshot(t *testing.T) {
 	if got := r.Phase(PhaseGradient); math.Abs(got-1.3) > 1e-12 {
 		t.Fatalf("gradient total %v", got)
 	}
-	if r.Counter(CounterWorkerUpdates) != 2000 || r.Counter(CounterCASRetries) != 31 {
+	if r.Counter(CounterWorkerUpdates) != 2000 || r.Counter(CounterBatches) != 31 {
 		t.Fatalf("counters %+v", r.Counters)
 	}
 	if sum := r.EnginePhaseSum(); math.Abs(sum-2.0) > 1e-12 {
@@ -200,7 +200,7 @@ func TestAggregatorTotalsAndSnapshot(t *testing.T) {
 	for _, want := range []string{
 		`sgd_epochs_total{engine="async/cpu-par(56)",dataset="rcv1"} 2`,
 		`sgd_phase_seconds_total{engine="async/cpu-par(56)",dataset="rcv1",phase="update"} 0.5`,
-		`sgd_counter_total{engine="async/cpu-par(56)",dataset="rcv1",counter="cas_retries"} 31`,
+		`sgd_counter_total{engine="async/cpu-par(56)",dataset="rcv1",counter="batches"} 31`,
 		`sgd_observation_count{engine="async/cpu-par(56)",dataset="rcv1",metric="batch_seconds"} 2`,
 		"# TYPE sgd_phase_seconds_total counter",
 	} {
@@ -209,7 +209,7 @@ func TestAggregatorTotalsAndSnapshot(t *testing.T) {
 		}
 	}
 	sum := a.Summary()
-	for _, want := range []string{"async/cpu-par(56) on rcv1", "gradient 65.0%", "CAS retry rate"} {
+	for _, want := range []string{"async/cpu-par(56) on rcv1", "gradient 65.0%"} {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum)
 		}

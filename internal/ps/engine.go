@@ -45,8 +45,10 @@ const (
 //     async slowdown rather than the straggler's full factor.
 //
 // The sync path runs single-threaded in worker order (deterministic: it
-// holds a golden); the async path races real goroutines, or the chaos
-// controller's scheduler when one is attached (envelope-gated).
+// holds a golden). The async path writes its worker loop once: healthy it
+// races real goroutines with the nil (healthy) chaos.Worker, and under an
+// enabled controller the same loop runs in the controller's regime
+// (envelope-gated).
 type Engine struct {
 	Mode  Mode
 	Model model.Model
@@ -282,22 +284,6 @@ func (e *Engine) pushAll(ws *workerState, count int) {
 	}
 }
 
-// processClaim runs one pull-compute-push cycle over batch t of the
-// shuffled permutation.
-func (e *Engine) processClaim(ws *workerState, t int) {
-	lo := t * e.Batch
-	hi := lo + e.Batch
-	if hi > len(e.perm) {
-		hi = len(e.perm)
-	}
-	if ws.ft != nil {
-		ws.ft.BeginRound()
-	}
-	e.pullAll(ws)
-	e.gradRange(ws, lo, hi)
-	e.pushAll(ws, hi-lo)
-}
-
 // runSync executes barriered rounds of Workers*Batch examples. Workers run
 // sequentially in worker order (the path is deterministic and holds a
 // golden); the modeled round time is the slowest worker's stretched
@@ -380,59 +366,54 @@ func (e *Engine) runSync() float64 {
 }
 
 // runAsync executes ceil(N/Batch) pull-compute-push claims dynamically off
-// a shared counter: real goroutines when healthy, the chaos controller's
-// regime (virtual-time scheduler in sequential mode) when one is attached.
-// The modeled epoch is the balanced ideal — every claim's units spread over
-// Workers — stretched by the controller's observed slowdown.
+// a shared counter: real goroutines with the healthy nil worker, the chaos
+// controller's regime (virtual-time scheduler in sequential mode) when one
+// is enabled. The modeled epoch is the balanced ideal — every claim's units
+// spread over Workers — stretched by the controller's observed slowdown.
 func (e *Engine) runAsync() float64 {
 	n := len(e.perm)
 	tasks := (n + e.Batch - 1) / e.Batch
 	rtUnits := 2 * float64(e.sh.NumShards()) * DefaultRTT
 	idealU := (float64(n) + float64(tasks)*rtUnits) / float64(e.Workers)
 	var next atomic.Int64
+	// Each claim is two scheduling steps — pull, then compute+push — so the
+	// virtual-time scheduler interleaves other workers' applies into the
+	// pull-to-push window. That window is where gradient staleness lives; a
+	// single atomic turn per claim would model it away.
+	claim := func(k int, cw *chaos.Worker) {
+		ws := e.ws[k]
+		for {
+			t := int(next.Add(1)) - 1
+			if t >= tasks {
+				return
+			}
+			lo := t * e.Batch
+			hi := min(lo+e.Batch, n)
+			if ws.ft != nil {
+				ws.ft.BeginRound()
+			}
+			e.pullAll(ws)
+			cw.Step()
+			e.gradRange(ws, lo, hi)
+			e.pushAll(ws, hi-lo)
+			cw.Step()
+		}
+	}
 	slow := 1.0
 	if e.Chaos.Enabled() {
-		// Each claim is two scheduling steps — pull, then compute+push — so
-		// the virtual-time scheduler interleaves other workers' applies into
-		// the pull-to-push window. That window is where gradient staleness
-		// lives; a single atomic turn per claim would model it away.
-		e.Chaos.Run(nil, e.Workers, func(k int, cw *chaos.Worker) {
-			ws := e.ws[k]
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= tasks {
-					return
-				}
-				lo := t * e.Batch
-				hi := lo + e.Batch
-				if hi > n {
-					hi = n
-				}
-				if ws.ft != nil {
-					ws.ft.BeginRound()
-				}
-				e.pullAll(ws)
-				cw.Step()
-				e.gradRange(ws, lo, hi)
-				e.pushAll(ws, hi-lo)
-				cw.Step()
-			}
-		})
+		e.Chaos.Run(nil, e.Workers, claim)
 		slow = e.Chaos.Slowdown()
 	} else {
+		// Healthy workers stay one goroutine each, the regime the ps-async
+		// envelope was recorded on: a pool runs several workers per chunk
+		// in turn once Workers exceeds its size.
 		var wg sync.WaitGroup
 		for k := 0; k < e.Workers; k++ {
 			wg.Add(1)
-			go func(ws *workerState) {
+			go func(k int) {
 				defer wg.Done()
-				for {
-					t := int(next.Add(1)) - 1
-					if t >= tasks {
-						return
-					}
-					e.processClaim(ws, t)
-				}
-			}(e.ws[k])
+				claim(k, nil)
+			}(k)
 		}
 		wg.Wait()
 	}

@@ -133,8 +133,10 @@ func (r *hashRecorder) write(kind, name string, bits uint64) {
 	r.h.Write(r.buf[:])
 }
 
-func (r *hashRecorder) Phase(p obs.Phase, s float64) { r.write("phase", p.String(), math.Float64bits(s)) }
-func (r *hashRecorder) Add(c obs.Counter, d int64)   { r.write("add", c.String(), uint64(d)) }
+func (r *hashRecorder) Phase(p obs.Phase, s float64) {
+	r.write("phase", p.String(), math.Float64bits(s))
+}
+func (r *hashRecorder) Add(c obs.Counter, d int64) { r.write("add", c.String(), uint64(d)) }
 func (r *hashRecorder) Observe(m obs.Metric, v float64) {
 	r.write("observe", m.String(), math.Float64bits(v))
 }

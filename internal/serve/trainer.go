@@ -15,7 +15,8 @@ import (
 // snapshot until the atomic swap. Publication cadence is per-epoch (or
 // every PublishEvery epochs), which bounds snapshot staleness by one
 // epoch's wall time. A diverged vector (NaN or ±Inf) is never published: the
-// last good snapshot stays installed and Refused counts the skipped publish.
+// last good snapshot stays installed, Refused counts the skipped publish, and
+// training stops there — a diverged vector does not recover.
 type Trainer struct {
 	// Engine advances W by one epoch per RunEpoch call.
 	Engine core.Engine
@@ -53,17 +54,18 @@ type Trainer struct {
 // not all finite (readable after Run returns).
 func (t *Trainer) Refused() int64 { return t.refused }
 
-// publish installs a copy of W, unless W has diverged.
-func (t *Trainer) publish(meta Snapshot) {
+// publish installs a copy of W and reports true, unless W has diverged.
+func (t *Trainer) publish(meta Snapshot) bool {
 	if !tensor.AllFinite(t.W) {
 		t.refused++
-		return
+		return false
 	}
 	t.Store.PublishWeights(t.W, meta)
+	return true
 }
 
-// Run trains until MaxEpochs or stop closes, publishing snapshots along the
-// way. It blocks; callers run it on their own goroutine for online serving.
+// Run trains until MaxEpochs, stop closes or a publish is refused,
+// publishing snapshots along the way. It blocks; callers run it on their own goroutine for online serving.
 // The first publish happens before the first epoch, so a freshly started
 // online server answers immediately (with the initial model) instead of
 // returning ErrNoModel until epoch one completes.
@@ -79,7 +81,9 @@ func (t *Trainer) Run(stop <-chan struct{}) {
 	if meta.Dim == 0 {
 		meta.Dim = t.Data.D()
 	}
-	t.publish(meta)
+	if !t.publish(meta) {
+		return
+	}
 	for epoch := 0; t.MaxEpochs == 0 || epoch < t.MaxEpochs; epoch++ {
 		select {
 		case <-stop:
@@ -93,7 +97,9 @@ func (t *Trainer) Run(stop <-chan struct{}) {
 		}
 		if (epoch+1)%publishEvery == 0 {
 			meta.Epoch = epoch + 1
-			t.publish(meta)
+			if !t.publish(meta) {
+				return
+			}
 		}
 	}
 }

@@ -26,9 +26,9 @@ func (e *divergingEngine) RunEpoch(w []float64) float64 {
 	return 1e-3
 }
 
-// A diverged online trainer must not hot-swap NaN into /predict: the
-// publishes after the NaN are refused and counted, and the store keeps
-// serving the last finite snapshot.
+// A diverged online trainer must not hot-swap NaN into /predict: the first
+// publish after the NaN is refused and counted, training stops there, and the
+// store keeps serving the last finite snapshot.
 func TestTrainerRefusesNonFiniteWeights(t *testing.T) {
 	spec, err := data.Lookup("covtype")
 	if err != nil {
@@ -39,23 +39,24 @@ func TestTrainerRefusesNonFiniteWeights(t *testing.T) {
 	store := NewStore()
 	tr := &Trainer{
 		Engine: &divergingEngine{}, Model: m, Data: ds, Store: store,
-		W: m.InitParams(1), PublishEvery: 1, MaxEpochs: 4,
+		W: m.InitParams(1), PublishEvery: 1, MaxEpochs: 50,
 	}
+	eng := tr.Engine.(*divergingEngine)
 	tr.Run(make(chan struct{}))
 
 	sn := store.Load()
 	// Version 1 is the initial model, version 2 the finite epoch-1 weights;
-	// epochs 2-4 hold a NaN.
+	// epoch 2 holds a NaN.
 	if sn == nil || sn.Version != 2 || sn.Epoch != 1 {
 		t.Fatalf("installed snapshot %+v, want version 2 from epoch 1", sn)
 	}
 	if !tensor.AllFinite(sn.Weights) {
 		t.Fatal("the installed snapshot holds non-finite weights")
 	}
-	if got := tr.Refused(); got != 3 {
-		t.Fatalf("Refused() = %d, want 3 (epochs 2, 3 and 4)", got)
+	if got := tr.Refused(); got != 1 {
+		t.Fatalf("Refused() = %d, want 1 (epoch 2)", got)
 	}
-	if tr.Epochs != 4 {
-		t.Fatalf("trainer ran %d epochs, want 4", tr.Epochs)
+	if eng.epochs != 2 || tr.Epochs != 2 {
+		t.Fatalf("trainer ran %d epochs (%d RunEpoch calls), want 2: it must stop at the first refusal", tr.Epochs, eng.epochs)
 	}
 }
