@@ -39,8 +39,9 @@ const DefaultBatch = 512
 //
 // The recorder receives phase timings (gradient = batch kernels, update = the
 // Axpy model write, barrier = per-batch dispatch overhead), the batch count,
-// and per-batch latency observations on the serialised paths. An enabled
-// chaos controller runs batch applications under per-batch fates
+// and per-batch latency observations on the serialised paths. Each path's
+// batch loop is written once against a chaos.Worker: healthy it is the nil
+// worker, and an enabled controller runs the same loop under per-batch fates
 // (drop/duplicate), staleness-bounded gradient views, and the async straggler
 // stretch — small, because batch claiming is dynamic.
 type HogbatchEngine struct {
@@ -217,22 +218,19 @@ func (e *HogbatchEngine) runSerial(w []float64, b linalg.Backend) (total, upd fl
 	return b.Meter().Seconds() - start, upd
 }
 
-// runParallel runs batches on concurrent workers sharing w: each worker
-// claims batches off a shared counter (a worker that draws cheap batches
-// immediately takes more, which is also why a chaos straggler stretches the
-// epoch so little), computes its batch gradient against whatever model state
-// it observes, and applies it with unsynchronised writes — real Hogbatch
-// races. Under an enabled controller each gradient is computed against the
-// worker's staleness-bounded view and landed under its injector fate; in
-// sequential mode the whole epoch runs on the virtual-time scheduler with
-// the full modeled thread count and replays bitwise. Modeled time divides
-// the single-thread kernel work by the measured-efficiency parallel factor.
-// When no controller is enabled and the host lacks the cores to exhibit
-// Threads-way asynchrony, the staleness is emulated with a delayed-
-// application pipeline instead (gradients computed against the model as of
-// dispatch, applied pipeline-depth batches later) — the regime in which the
-// paper observes the w8a statistical-efficiency blow-up (Table III: 10,635
-// epochs).
+// runParallel runs batches on concurrent workers sharing w. Workers claim
+// batches off a shared counter, so a worker that draws cheap batches takes
+// more (and a chaos straggler stretches the epoch little); each computes its
+// batch gradient against the model state it observes (under an enabled
+// controller, its staleness-bounded view) and lands it with unsynchronised
+// writes (under its injector fate) — real Hogbatch races, replayed bitwise in
+// sequential mode. Modeled time divides the single-thread kernel work by the
+// measured-efficiency parallel factor. Without an enabled controller, on a
+// host lacking the cores for Threads-way asynchrony, the staleness is
+// emulated with a delayed-application pipeline instead (gradients computed
+// against the model as of dispatch, applied pipeline-depth batches later) —
+// the regime in which the paper observes the w8a statistical-efficiency
+// blow-up (Table III: 10,635 epochs).
 func (e *HogbatchEngine) runParallel(w []float64) float64 {
 	nb := e.numBatches()
 	workers := e.chaosWorkers(e.Threads, nb)
