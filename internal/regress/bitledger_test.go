@@ -87,7 +87,9 @@ func hogwildCells(prefix string, m model.Model, ds *data.Dataset, step float64) 
 
 // ledgerCells is the ledger's table: w8a and covtype × LR and SVM through
 // every per-seed-deterministic engine path, plus MLP on covtype through the
-// Hogbatch modes and Hogwild.
+// Hogbatch modes and Hogwild, plus real-sim (the Zipf generator path the
+// benchmark trains on) × LR and SVM through Hogwild and both Local-SGD
+// engines.
 func ledgerCells(t *testing.T) []ledgerCell {
 	var cells []ledgerCell
 	const step = 0.1
@@ -113,7 +115,41 @@ func ledgerCells(t *testing.T) []ledgerCell {
 			cells = append(cells, hogwildCells("covtype/mlp", mlp, ds, step)...)
 		}
 	}
+	ds, _ := ledgerDataset(t, "real-sim")
+	for _, m := range []model.Model{model.NewLR(ds.D()), model.NewSVM(ds.D())} {
+		m := m
+		prefix := "real-sim/" + m.Name()
+		cells = append(cells, hogwildCells(prefix, m, ds, step)...)
+		cells = append(cells,
+			ledgerCell{prefix + "/local-sync-4x4", m, func() core.Engine { return core.NewLocalSGD(m, ds, step, 4, 4) }},
+			ledgerCell{prefix + "/local-async-4x4", m, func() core.Engine { return core.NewAsyncLocalSGD(m, ds, step, 4, 4) }},
+		)
+	}
 	return cells
+}
+
+// ledgerDataRows caps the rows of each registry dataset the ledger hashes.
+const ledgerDataRows = 4000
+
+// dataHash returns a sha256 prefix over the generated CSR arrays and labels
+// of registry dataset name at no more than ledgerDataRows rows: the
+// generator's own bits, independent of any engine.
+func dataHash(t *testing.T, name string) string {
+	t.Helper()
+	spec, err := data.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.N > ledgerDataRows {
+		spec = spec.Scaled(ledgerDataRows / float64(spec.N))
+	}
+	ds := data.Generate(spec)
+	h := sha256.New()
+	binary.Write(h, binary.LittleEndian, ds.X.RowPtr)
+	binary.Write(h, binary.LittleEndian, ds.X.ColIdx)
+	binary.Write(h, binary.LittleEndian, ds.X.Values)
+	binary.Write(h, binary.LittleEndian, ds.Y)
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
 // hashRecorder folds every recorder call, in call order, into a running
@@ -187,6 +223,9 @@ func bitLedger(t *testing.T) []string {
 			lines = append(lines, c.name+"/"+regime+" "+ledgerHash(t, c, regime))
 		}
 	}
+	for _, name := range data.Names() {
+		lines = append(lines, "data:"+name+" "+dataHash(t, name))
+	}
 	sort.Strings(lines)
 	return lines
 }
@@ -195,6 +234,7 @@ func ledgerText(lines []string) string {
 	var b strings.Builder
 	b.WriteString("# Bit ledger: sha256 prefix over every recorder call and the Float64bits of\n")
 	fmt.Fprintf(&b, "# the weights after %d epochs, GOMAXPROCS=2. Regenerate: go test ./internal/regress -run TestBitLedger -update\n", ledgerEpochs)
+	fmt.Fprintf(&b, "# data:<name>: sha256 prefix over RowPtr, ColIdx, Values and Y of the generated registry dataset at <= %d rows\n", ledgerDataRows)
 	for _, x := range ledgerExcluded {
 		b.WriteString("# excluded: " + x + "\n")
 	}
