@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint cover bench bench-paper bench-selftest gate gate-update fuzz mdcheck loc serve-smoke quant-smoke span-smoke
+.PHONY: build test check lint cover bench bench-paper bench-selftest bench-smoke gate gate-update fuzz mdcheck loc serve-smoke quant-smoke span-smoke
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,20 @@ gate-update:
 bench:
 	@for w in sync-kernels async-hogwild replica-merge ps-cluster serve-hotswap; do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 22 --trace 0 || exit 1; \
+	done
+
+# bench-smoke is the benchmark's correctness check, not a timing one: every
+# workload runs for 2 s at seed 1 and the target fails unless each run exits
+# 0 and its last stdout line (the JSON result) reads "correct":true with
+# "failed":0. CI's gate job runs it before make gate.
+bench-smoke:
+	@for w in sync-kernels async-hogwild replica-merge ps-cluster serve-hotswap; do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || { echo "bench-smoke: $$w exited non-zero"; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true,'*'"failed":0,'*) echo "bench-smoke: $$w ok" ;; \
+		*) echo "bench-smoke: $$w failed: $$last"; exit 1 ;; \
+		esac; \
 	done
 
 # bench-paper regenerates the paper's tables at a small scale with a trace.

@@ -46,8 +46,7 @@ func fatedStep(s *chaos.Stream, m model.Model, ds *data.Dataset, w []float64, i 
 	if s != nil {
 		fate, cost = s.Fate(), s.Cost()
 	}
-	capt.reset()
-	m.SGDStep(w, ds, i, step, capt, scr)
+	capt.step(m, ds, w, i, step, scr)
 	applyFate(fate, w, capt)
 	return cost
 }

@@ -72,9 +72,8 @@ type HogwildEngine struct {
 	scratches []model.Scratch // per-segment model scratch, created once
 	caps      []captureUpdater
 	claims    []int64
-	ring      []inflightUpdate
+	ring      []captureUpdater // runEmulated's in-flight updates
 	cursors   []int
-	capture   captureUpdater
 }
 
 // NewHogwild builds the engine with the paper-machine cost model and a
@@ -211,8 +210,7 @@ func (e *HogwildEngine) runChaos(w []float64) float64 {
 				return
 			}
 			claims[k]++
-			capt.reset()
-			e.Model.SGDStep(cw.View(w), e.Data, e.perm[t], e.Step, capt, scr)
+			capt.step(e.Model, e.Data, cw.View(w), e.perm[t], e.Step, scr)
 			applyFate(cw.Fate(), w, capt)
 			cw.Step()
 		}
@@ -277,23 +275,15 @@ func (e *HogwildEngine) runEmulated(w []float64, p int) {
 		e.scratches = append(e.scratches, e.Model.NewScratch())
 	}
 	scr := e.scratches[0]
-	// The FIFO of in-flight updates lives in a ring of at most p slots whose
-	// index/delta buffers are reused across updates and epochs — the seed
-	// allocated two fresh slices per model update here, which dominated the
-	// emulated epoch's allocation profile.
+	// The FIFO of in-flight updates is a ring of at most p captured updates
+	// whose buffers are reused across updates and epochs.
 	if cap(e.ring) < p {
-		grown := make([]inflightUpdate, p)
+		grown := make([]captureUpdater, p)
 		copy(grown, e.ring)
 		e.ring = grown
 	}
 	ring := e.ring[:p]
 	head, count := 0, 0
-	capture := &e.capture
-	apply := func(u *inflightUpdate) {
-		for k, ix := range u.idx {
-			w[ix] += u.delta[k]
-		}
-	}
 	active := p
 	for active > 0 {
 		for t := 0; t < p; t++ {
@@ -306,30 +296,19 @@ func (e *HogwildEngine) runEmulated(w []float64, p int) {
 				continue
 			}
 			cursors[t]++
-			capture.reset()
-			e.Model.SGDStep(w, e.Data, e.perm[pos], e.Step, capture, scr)
-			slot := &ring[(head+count)%p]
-			slot.idx = append(slot.idx[:0], capture.idx...)
-			slot.delta = append(slot.delta[:0], capture.delta...)
+			ring[(head+count)%p].step(e.Model, e.Data, w, e.perm[pos], e.Step, scr)
 			count++
 			if count >= p {
-				apply(&ring[head])
+				applyFate(chaos.FateApply, w, &ring[head])
 				head = (head + 1) % p
 				count--
 			}
 		}
 	}
 	for ; count > 0; count-- {
-		apply(&ring[head])
+		applyFate(chaos.FateApply, w, &ring[head])
 		head = (head + 1) % p
 	}
-}
-
-// inflightUpdate is one captured-but-unapplied model update of the
-// emulated asynchronous pipeline.
-type inflightUpdate struct {
-	idx   []int
-	delta []float64
 }
 
 var _ Engine = (*HogwildEngine)(nil)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/data"
 	"repro/internal/gpusim"
 	"repro/internal/model"
@@ -123,34 +125,39 @@ type captureUpdater struct {
 	delta []float64
 }
 
-func (c *captureUpdater) Add(_ []float64, i int, d float64) {
-	c.idx = append(c.idx, i)
-	c.delta = append(c.delta, d)
-}
-
-// reset forgets the captured updates, keeping the buffers.
-func (c *captureUpdater) reset() {
-	c.idx = c.idx[:0]
-	c.delta = c.delta[:0]
-}
-
-// emitStep returns the simulator compute callback of the flat GPU kernels:
-// one SGD step of m against w, captured and re-emitted so the simulator
-// decides which lane writes land.
-func emitStep(m model.Model, ds *data.Dataset, w []float64, step float64, capt *captureUpdater, scr model.Scratch) func(item int, emit func(int, float64)) {
-	return func(item int, emit func(int, float64)) {
-		capt.reset()
-		m.SGDStep(w, ds, item, step, capt, scr)
-		for k, ix := range capt.idx {
-			emit(ix, capt.delta[k])
-		}
+// AddScaled implements model.Updater: it records off+cols[k] and
+// a*vals[k] for every k.
+func (c *captureUpdater) AddScaled(_ []float64, off int, cols []int32, vals []float64, a float64) {
+	idx, delta := c.grow(len(cols))
+	for k, col := range cols {
+		idx[k] = off + int(col)
+		delta[k] = a * vals[k]
 	}
 }
 
-// addTo returns the simulator apply callback that lands a surviving lane
-// write in w.
-func addTo(w []float64) func(idx int, delta float64) {
-	return func(idx int, delta float64) { w[idx] += delta }
+// AddDense implements model.Updater: it records off+k and a*g[k] for
+// every k.
+func (c *captureUpdater) AddDense(_ []float64, off int, g []float64, a float64) {
+	idx, delta := c.grow(len(g))
+	for k, v := range g {
+		idx[k] = off + k
+		delta[k] = a * v
+	}
+}
+
+// grow extends both records by n entries and returns the new tails.
+func (c *captureUpdater) grow(n int) ([]int, []float64) {
+	m := len(c.idx)
+	c.idx = slices.Grow(c.idx, n)[:m+n]
+	c.delta = slices.Grow(c.delta, n)[:m+n]
+	return c.idx[m:], c.delta[m:]
+}
+
+// step captures one SGD step of example i against w in place of whatever
+// the updater held.
+func (c *captureUpdater) step(m model.Model, ds *data.Dataset, w []float64, i int, lr float64, scr model.Scratch) {
+	c.idx, c.delta = c.idx[:0], c.delta[:0]
+	m.SGDStep(w, ds, i, lr, c, scr)
 }
 
 // gpuAsyncConfig is the simulator configuration common to the GPU-side
@@ -184,19 +191,23 @@ func (e *GPUHogwildEngine) RunEpoch(w []float64) float64 {
 		// Duplication has no SIMT analogue — a duped fate applies once.
 		cfg.FaultDrop = e.faultDrop(cw.Stream)
 	}
+	// compute is the simulator's per-lane callback: one SGD step against
+	// the lane's view of the model, captured and re-emitted so the
+	// simulator decides which writes land.
+	compute := func(item int, wv []float64, emit func(int, float64)) {
+		capt.step(e.Model, e.Data, wv, item, e.Step, scr)
+		for k, ix := range capt.idx {
+			emit(ix, capt.delta[k])
+		}
+	}
 	if e.SharedMemory && int64(e.Model.NumParams())*8 <= e.Dev.Spec.SharedMemPerMP {
 		e.stats = e.Dev.RunAsyncEpochShared(e.Model.NumParams(), e.perm, cfg,
-			func(idx int) float64 { return w[idx] },
-			func(item int, replica []float64, emit func(int, float64)) {
-				capt.reset()
-				e.Model.SGDStep(replica, e.Data, item, e.Step, capt, scr)
-				for k, ix := range capt.idx {
-					emit(ix, capt.delta[k])
-				}
-			},
+			func(idx int) float64 { return w[idx] }, compute,
 			func(idx int, v float64) { w[idx] = v })
 	} else {
-		e.stats = e.Dev.RunAsyncEpoch(e.perm, cfg, emitStep(e.Model, e.Data, w, e.Step, capt, scr), addTo(w))
+		e.stats = e.Dev.RunAsyncEpoch(e.perm, cfg,
+			func(item int, emit func(int, float64)) { compute(item, w, emit) },
+			func(idx int, delta float64) { w[idx] += delta })
 	}
 	if scale := costScale(e.CostScale); scale != 1 {
 		e.stats.Cost = e.Dev.Rescale(e.stats.Cost, scale)

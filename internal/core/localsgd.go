@@ -130,14 +130,7 @@ func (e *LocalSGDEngine) prepare() {
 // segLen is how many local steps replica r takes in the round starting at
 // shard offset off: min(H, remaining shard), never negative.
 func (e *LocalSGDEngine) segLen(r, off int) int {
-	rem := e.bounds[r+1] - e.bounds[r] - off
-	if rem <= 0 {
-		return 0
-	}
-	if rem > e.H {
-		return e.H
-	}
-	return rem
+	return max(0, min(e.H, e.bounds[r+1]-e.bounds[r]-off))
 }
 
 // RunEpoch implements Engine: one pass over a fresh shuffle, in rounds of up
@@ -327,8 +320,8 @@ func (t *localStepTask) Run(lo, hi int) {
 // touchUpdater is the model.Updater a replica steps through: the plain
 // store of RawUpdater (the vector is private) plus a record of which
 // components the replica has written since the last barrier merge. Every
-// Model.SGDStep routes all of its writes through Updater.Add, so the list is
-// the replica's complete write set for LR, SVM and MLP alike.
+// Model.SGDStep lands all of its writes through the Updater's two methods,
+// so the list is the replica's complete write set for LR, SVM and MLP alike.
 //
 // stamp[i] == round marks component i as already listed, so the list holds
 // each component once (it is allocated at d entries and never grows) and
@@ -340,9 +333,25 @@ type touchUpdater struct {
 	_     [64]byte // replicas append concurrently: keep their headers on separate cache lines
 }
 
-// Add implements model.Updater.
-func (u *touchUpdater) Add(w []float64, i int, delta float64) {
-	w[i] += delta
+// AddScaled implements model.Updater.
+func (u *touchUpdater) AddScaled(w []float64, off int, cols []int32, vals []float64, a float64) {
+	for k, c := range cols {
+		i := off + int(c)
+		w[i] += a * vals[k]
+		u.touch(i)
+	}
+}
+
+// AddDense implements model.Updater.
+func (u *touchUpdater) AddDense(w []float64, off int, g []float64, a float64) {
+	for k, v := range g {
+		w[off+k] += a * v
+		u.touch(off + k)
+	}
+}
+
+// touch lists component i unless it is already listed this round.
+func (u *touchUpdater) touch(i int) {
 	if u.stamp[i] != u.round {
 		u.stamp[i] = u.round
 		u.list = append(u.list, int32(i))

@@ -17,9 +17,18 @@ import (
 // flag per component written since the flags were last cleared.
 type writeLog struct{ written []bool }
 
-func (l *writeLog) Add(w []float64, i int, delta float64) {
-	w[i] += delta
-	l.written[i] = true
+func (l *writeLog) AddScaled(w []float64, off int, cols []int32, vals []float64, a float64) {
+	for k, c := range cols {
+		w[off+int(c)] += a * vals[k]
+		l.written[off+int(c)] = true
+	}
+}
+
+func (l *writeLog) AddDense(w []float64, off int, g []float64, a float64) {
+	for k, v := range g {
+		w[off+k] += a * v
+		l.written[off+k] = true
+	}
 }
 
 // refLocalSGD is Local SGD as a plain loop, sharing no code with the engine:

@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -99,9 +100,14 @@ func generateSparse(spec Spec, rng *rand.Rand, truth []float64) *Dataset {
 	zipf := rand.NewZipf(rng, s, 8, uint64(spec.D-1))
 
 	rowPtr := make([]int64, spec.N+1)
-	var colIdx []int32
-	var values []float64
-	seen := make(map[int32]struct{}, spec.MaxNNZ)
+	// The realised nnz lands within a few percent of N*AvgNNZ; a 1/16
+	// margin keeps the arrays from regrowing.
+	capNNZ := int(float64(spec.N) * spec.AvgNNZ * 17 / 16)
+	colIdx := make([]int32, 0, capNNZ)
+	values := make([]float64, 0, capNNZ)
+	// seen[c] == i+1 marks column c as drawn for row i, so moving to the
+	// next row clears nothing.
+	seen := make([]int32, spec.D)
 	cols := make([]int32, 0, spec.MaxNNZ)
 	df := make([]int32, spec.D) // per-feature document frequency
 
@@ -112,25 +118,25 @@ func generateSparse(spec Spec, rng *rand.Rand, truth []float64) *Dataset {
 		if nnz > spec.MaxNNZ {
 			nnz = spec.MaxNNZ
 		}
-		clear(seen)
+		mark := int32(i + 1)
 		cols = cols[:0]
 		for len(cols) < nnz {
 			c := int32(zipf.Uint64())
-			if _, dup := seen[c]; dup {
+			if seen[c] == mark {
 				// Collision on a hot feature: fall back to a
 				// uniform draw so long rows terminate.
 				c = int32(rng.Intn(spec.D))
-				if _, dup2 := seen[c]; dup2 {
+				if seen[c] == mark {
 					continue
 				}
 			}
-			seen[c] = struct{}{}
+			seen[c] = mark
 			cols = append(cols, c)
 			df[c]++
 		}
-		sortInt32(cols)
-		for _, c := range cols {
-			colIdx = append(colIdx, c)
+		slices.Sort(cols)
+		colIdx = append(colIdx, cols...)
+		for range cols {
 			values = append(values, math.Abs(rng.NormFloat64())) // raw tf
 		}
 		rowPtr[i+1] = int64(len(values))
@@ -174,18 +180,4 @@ func signLabel(v float64) float64 {
 		return 1
 	}
 	return -1
-}
-
-// sortInt32 is an insertion/shell sort adequate for per-row column lists.
-func sortInt32(a []int32) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
-		}
-	}
 }

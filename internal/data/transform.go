@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -37,7 +38,7 @@ func GroupFeatures(d *Dataset, inputs int) (*Dataset, error) {
 			}
 			acc[g] += vals[k]
 		}
-		sortInt32(touched)
+		slices.Sort(touched)
 		for _, g := range touched {
 			colIdx = append(colIdx, g)
 			values = append(values, acc[g]/float64(groupSize))

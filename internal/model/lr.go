@@ -56,9 +56,7 @@ func (m *LR) SGDStep(w []float64, ds *data.Dataset, i int, step float64, upd Upd
 		return
 	}
 	cols, vals := ds.X.Row(i)
-	for k, c := range cols {
-		upd.Add(w, int(c), coef*vals[k])
-	}
+	upd.AddScaled(w, 0, cols, vals, coef)
 }
 
 // GradSupport implements Model.

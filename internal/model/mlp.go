@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/tensor"
@@ -91,6 +92,7 @@ func (m *MLP) InitParams(seed int64) []float64 {
 type mlpScratch struct {
 	act   [][]float64 // act[l], l = 1..Layers: activations (act[Layers] = softmax probs)
 	delta [][]float64 // delta[l], l = 1..Layers: back-propagated errors at z_l
+	prod  []float64   // one weight row's gradient products, len = widest layer input
 }
 
 // NewScratch implements Model.
@@ -98,6 +100,7 @@ func (m *MLP) NewScratch() Scratch {
 	s := &mlpScratch{
 		act:   make([][]float64, len(m.Widths)),
 		delta: make([][]float64, len(m.Widths)),
+		prod:  make([]float64, slices.Max(m.Widths[:m.Layers()])),
 	}
 	for l := 1; l < len(m.Widths); l++ {
 		s.act[l] = make([]float64, m.Widths[l])
@@ -120,8 +123,7 @@ func (m *MLP) forward(w []float64, ds *data.Dataset, i int, scr *mlpScratch) []f
 	L := m.Layers()
 	// Input layer: z_1 = W_0 * x + b_0 over the sparse support of x.
 	{
-		in := m.Widths[0]
-		out := m.Widths[1]
+		in, out := m.Widths[0], m.Widths[1]
 		w0 := w[m.offW[0]:]
 		z := scr.act[1]
 		copy(z, m.Bias(w, 0))
@@ -199,7 +201,7 @@ func (m *MLP) AccumGrad(w []float64, ds *data.Dataset, i int, scale float64, g [
 	s := scr.(*mlpScratch)
 	m.forward(w, ds, i, s)
 	m.backward(w, ds, i, s)
-	m.applyGrads(ds, i, s, func(idx int, v float64) { g[idx] += scale * v })
+	m.applyGrads(g, ds, i, s, RawUpdater{}, scale)
 }
 
 // SGDStep implements Model.
@@ -207,39 +209,44 @@ func (m *MLP) SGDStep(w []float64, ds *data.Dataset, i int, step float64, upd Up
 	s := scr.(*mlpScratch)
 	m.forward(w, ds, i, s)
 	m.backward(w, ds, i, s)
-	m.applyGrads(ds, i, s, func(idx int, v float64) { upd.Add(w, idx, -step*v) })
+	m.applyGrads(w, ds, i, s, upd, -step)
 }
 
-// applyGrads walks the gradient support of example i (given populated
-// scratch) calling emit(paramIndex, gradValue) for every component.
-func (m *MLP) applyGrads(ds *data.Dataset, i int, scr *mlpScratch, emit func(idx int, v float64)) {
+// applyGrads lands a*grad of example i (given populated scratch) in dst
+// through upd: per output unit, one call for its weight row (sparse on the
+// input layer) and one for its bias. The products du*x go to scr.prod first
+// and a multiplies them inside the updater, so every component receives
+// a*(du*x), rounded exactly as the per-component form.
+func (m *MLP) applyGrads(dst []float64, ds *data.Dataset, i int, scr *mlpScratch, upd Updater, a float64) {
 	L := m.Layers()
 	// Input weight layer: gradW_0[u, c] = delta_1[u] * x[c], sparse in c.
 	{
 		in := m.Widths[0]
 		d := scr.delta[1]
 		cols, vals := ds.X.Row(i)
+		prod := scr.prod[:len(cols)]
 		for u, du := range d {
 			if du == 0 {
 				continue
 			}
-			base := m.offW[0] + u*in
-			for k, c := range cols {
-				emit(base+int(c), du*vals[k])
+			for k, v := range vals {
+				prod[k] = du * v
 			}
-			emit(m.offB[0]+u, du)
+			upd.AddScaled(dst, m.offW[0]+u*in, cols, prod, a)
+			upd.AddDense(dst, m.offB[0]+u, d[u:u+1], a)
 		}
 	}
 	for l := 1; l < L; l++ {
 		in := m.Widths[l]
 		d := scr.delta[l+1]
-		a := scr.act[l]
+		act := scr.act[l]
+		prod := scr.prod[:in]
 		for u, du := range d {
-			base := m.offW[l] + u*in
-			for k, av := range a {
-				emit(base+k, du*av)
+			for k, av := range act {
+				prod[k] = du * av
 			}
-			emit(m.offB[l]+u, du)
+			upd.AddDense(dst, m.offW[l]+u*in, prod, a)
+			upd.AddDense(dst, m.offB[l]+u, d[u:u+1], a)
 		}
 	}
 }

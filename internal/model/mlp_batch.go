@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/tensor"
@@ -36,9 +37,7 @@ func (m *MLP) BatchGrad(b Ops, w []float64, ds *data.Dataset, rows []int, g []fl
 		n = len(rows)
 		rowAt = func(i int) int { return rows[i] }
 	}
-	for i := range g {
-		g[i] = 0
-	}
+	clear(g)
 	L := m.Layers()
 	in0 := m.Widths[0]
 	chunk := m.chunkSize()
@@ -49,10 +48,7 @@ func (m *MLP) BatchGrad(b Ops, w []float64, ds *data.Dataset, rows []int, g []fl
 
 	var totalLoss float64
 	for start := 0; start < n; start += chunk {
-		cn := chunk
-		if start+cn > n {
-			cn = n - start
-		}
+		cn := min(chunk, n-start)
 		// Materialise the dense chunk (host-side data staging; the
 		// paper excludes transfer time from kernel timing).
 		a0.Zero()
@@ -161,7 +157,7 @@ func (s *BatchScratch) mlpChunkBufs(m *MLP, chunk int) (*tensor.Matrix, []*tenso
 		return newMLPChunkBufs(m, chunk)
 	}
 	ms := &s.mlp
-	if ms.a0 == nil || ms.chunk != chunk || !equalWidths(ms.widths, m.Widths) {
+	if ms.a0 == nil || ms.chunk != chunk || !slices.Equal(ms.widths, m.Widths) {
 		ms.a0, ms.acts, ms.deltas, ms.classes = newMLPChunkBufs(m, chunk)
 		ms.chunk = chunk
 		ms.widths = append(ms.widths[:0], m.Widths...)
@@ -180,16 +176,4 @@ func newMLPChunkBufs(m *MLP, chunk int) (*tensor.Matrix, []*tensor.Matrix, []*te
 	}
 	classes := make([]int, chunk)
 	return a0, acts, deltas, classes
-}
-
-func equalWidths(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -14,7 +14,8 @@
 //
 // Models are stateless; all parameters live in a flat []float64 so the
 // asynchronous engines can share one vector between threads and apply
-// unsynchronised component updates to it.
+// unsynchronised updates to it, one Updater call per sparse row or dense
+// span of an example's gradient.
 package model
 
 import (
@@ -26,21 +27,38 @@ import (
 	"repro/internal/tensor"
 )
 
-// Updater abstracts how a component update lands in the model: RawUpdater
+// Updater abstracts how an example's update lands in the model: RawUpdater
 // stores with a benign race (classic Hogwild); the engines' capturing and
 // write-set-tracking updaters record the update instead of, or beside,
-// landing it.
+// landing it. SGDStep hands over one slice per call — a sparse row or a dense
+// span — so the per-component loop runs inside the updater, not behind an
+// interface call per nonzero.
 type Updater interface {
-	// Add performs w[i] += delta under the updater's memory discipline.
-	Add(w []float64, i int, delta float64)
+	// AddScaled performs w[off+cols[k]] += a*vals[k] for every k.
+	AddScaled(w []float64, off int, cols []int32, vals []float64, a float64)
+	// AddDense performs w[off+k] += a*g[k] for every k.
+	AddDense(w []float64, off int, g []float64, a float64)
 }
 
 // RawUpdater applies plain stores: the Hogwild discipline — no
 // synchronisation whatsoever; concurrent writers may overwrite each other.
 type RawUpdater struct{}
 
-// Add implements Updater with an unsynchronised read-modify-write.
-func (RawUpdater) Add(w []float64, i int, delta float64) { w[i] += delta }
+// AddScaled implements Updater with unsynchronised read-modify-writes.
+func (RawUpdater) AddScaled(w []float64, off int, cols []int32, vals []float64, a float64) {
+	w = w[off:]
+	for k, c := range cols {
+		w[c] += a * vals[k]
+	}
+}
+
+// AddDense implements Updater with unsynchronised read-modify-writes.
+func (RawUpdater) AddDense(w []float64, off int, g []float64, a float64) {
+	w = w[off : off+len(g)]
+	for k, v := range g {
+		w[k] += a * v
+	}
+}
 
 // Scratch holds per-worker temporary buffers (activations, deltas). Each
 // concurrent worker owns one; models define their own concrete type.

@@ -60,10 +60,7 @@ func Quantize(w []float64) *QuantizedWeights {
 	}
 	for s := 0; s < numStripes; s++ {
 		lo := s * QuantStripe
-		hi := lo + QuantStripe
-		if hi > dim {
-			hi = dim
-		}
+		hi := min(lo+QuantStripe, dim)
 		maxAbs := 0.0
 		for i := lo; i < hi; i++ {
 			if a := math.Abs(w[i]); a > maxAbs {

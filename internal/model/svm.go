@@ -55,10 +55,7 @@ func (m *SVM) SGDStep(w []float64, ds *data.Dataset, i int, step float64, upd Up
 		return
 	}
 	cols, vals := ds.X.Row(i)
-	coef := step * y
-	for k, c := range cols {
-		upd.Add(w, int(c), coef*vals[k])
-	}
+	upd.AddScaled(w, 0, cols, vals, step*y)
 }
 
 // GradSupport implements Model.

@@ -212,6 +212,30 @@ func TestStoreVersionsMonotonic(t *testing.T) {
 	}
 }
 
+func TestStoreRefusesNonFiniteWeights(t *testing.T) {
+	s := NewStore()
+	if v := s.PublishWeights([]float64{1, math.NaN()}, Snapshot{Model: "lr", Dim: 2}); v != 0 || s.Load() != nil {
+		t.Fatalf("NaN first publish returned version %d and installed %+v; want 0 and nothing", v, s.Load())
+	}
+	v1 := s.PublishWeights([]float64{1, 2}, Snapshot{Model: "lr", Dim: 2})
+	good := s.Load()
+	if v := s.PublishWeights([]float64{math.NaN(), 2}, Snapshot{Model: "lr", Dim: 2}); v != v1 {
+		t.Fatalf("NaN publish returned version %d, want the installed %d", v, v1)
+	}
+	if v := s.Publish(&Snapshot{Model: "lr", Dim: 2, Weights: []float64{math.Inf(-1), 2}}); v != v1 {
+		t.Fatalf("-Inf publish returned version %d, want the installed %d", v, v1)
+	}
+	if s.Load() != good || good.Version != v1 || good.Weights[1] != 2 {
+		t.Fatalf("a refused publish replaced the installed snapshot: %+v", s.Load())
+	}
+	if s.Refused() != 3 || s.Swaps() != 1 {
+		t.Fatalf("Refused() = %d, Swaps() = %d; want 3 and 1", s.Refused(), s.Swaps())
+	}
+	if v2 := s.PublishWeights([]float64{3, 4}, Snapshot{Model: "lr", Dim: 2}); v2 != v1+1 {
+		t.Fatalf("the next finite publish got version %d, want %d", v2, v1+1)
+	}
+}
+
 func TestHistQuantiles(t *testing.T) {
 	h := obs.NewHist([]float64{1, 2, 4, 8})
 	for i := 0; i < 50; i++ {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // Snapshot is one immutable published model: a private copy of the weights
@@ -54,6 +55,7 @@ type Store struct {
 	cur      atomic.Pointer[Snapshot]
 	ver      atomic.Int64
 	swaps    atomic.Int64
+	refused  atomic.Int64
 	quantize atomic.Bool
 }
 
@@ -68,8 +70,24 @@ func (s *Store) Load() *Snapshot { return s.cur.Load() }
 // Publish installs sn as the current snapshot, assigning the next version,
 // and returns that version. sn (including its weight slice) must not be
 // mutated afterwards; PublishWeights is the copying convenience for
-// publishers that keep training on their vector.
+// publishers that keep training on their vector. A snapshot holding a NaN
+// or ±Inf weight is refused: the installed snapshot stays, Refused counts
+// the attempt, and Publish returns the installed version (0 before the
+// first publish).
 func (s *Store) Publish(sn *Snapshot) int64 {
+	v, _ := s.publish(sn)
+	return v
+}
+
+// publish is Publish, also reporting whether sn was installed.
+func (s *Store) publish(sn *Snapshot) (int64, bool) {
+	if !tensor.AllFinite(sn.Weights) {
+		s.refused.Add(1)
+		if cur := s.cur.Load(); cur != nil {
+			return cur.Version, false
+		}
+		return 0, false
+	}
 	sn.Version = s.ver.Add(1)
 	if sn.PublishedUnixNano == 0 {
 		sn.PublishedUnixNano = time.Now().UnixNano()
@@ -79,7 +97,7 @@ func (s *Store) Publish(sn *Snapshot) int64 {
 	}
 	s.cur.Store(sn)
 	s.swaps.Add(1)
-	return sn.Version
+	return sn.Version, true
 }
 
 // SetQuantize makes every future Publish attach the int8 representation to
@@ -93,15 +111,25 @@ func (s *Store) SetQuantize(on bool) { s.quantize.Store(on) }
 // online Trainer) that continue updating w after the call. meta's Version
 // and PublishedUnixNano are overwritten; its Weights are ignored.
 func (s *Store) PublishWeights(w []float64, meta Snapshot) int64 {
+	v, _ := s.publishWeights(w, meta)
+	return v
+}
+
+// publishWeights is PublishWeights, also reporting whether the copy was
+// installed.
+func (s *Store) publishWeights(w []float64, meta Snapshot) (int64, bool) {
 	meta.Weights = append([]float64(nil), w...)
 	meta.Quant = nil // derived from the fresh copy, never inherited
 	meta.PublishedUnixNano = 0
-	return s.Publish(&meta)
+	return s.publish(&meta)
 }
 
 // Swaps returns the number of publishes since creation (the swap counter of
 // /stats and CounterServeSwaps).
 func (s *Store) Swaps() int64 { return s.swaps.Load() }
+
+// Refused returns the number of publishes refused for non-finite weights.
+func (s *Store) Refused() int64 { return s.refused.Load() }
 
 // SaveSnapshot writes sn as JSON to path (the cmd/sgdserve -save-snapshot
 // format; weights included, so files scale with the model).

@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/model"
-	"repro/internal/tensor"
 )
 
 // Trainer continuously trains a model with any core.Engine (typically
@@ -54,14 +53,14 @@ type Trainer struct {
 // not all finite (readable after Run returns).
 func (t *Trainer) Refused() int64 { return t.refused }
 
-// publish installs a copy of W and reports true, unless W has diverged.
+// publish installs a copy of W and reports true, unless the store refuses
+// it because W has diverged.
 func (t *Trainer) publish(meta Snapshot) bool {
-	if !tensor.AllFinite(t.W) {
+	_, ok := t.Store.publishWeights(t.W, meta)
+	if !ok {
 		t.refused++
-		return false
 	}
-	t.Store.PublishWeights(t.W, meta)
-	return true
+	return ok
 }
 
 // Run trains until MaxEpochs, stop closes or a publish is refused,
