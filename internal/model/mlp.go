@@ -215,8 +215,8 @@ func (m *MLP) SGDStep(w []float64, ds *data.Dataset, i int, step float64, upd Up
 // applyGrads lands a*grad of example i (given populated scratch) in dst
 // through upd: per output unit, one call for its weight row (sparse on the
 // input layer) and one for its bias. The products du*x go to scr.prod first
-// and a multiplies them inside the updater, so every component receives
-// a*(du*x), rounded exactly as the per-component form.
+// and a multiplies them inside the updater: every component receives
+// a*(du*x), never (a*du)*x, which rounds differently.
 func (m *MLP) applyGrads(dst []float64, ds *data.Dataset, i int, scr *mlpScratch, upd Updater, a float64) {
 	L := m.Layers()
 	// Input weight layer: gradW_0[u, c] = delta_1[u] * x[c], sparse in c.
