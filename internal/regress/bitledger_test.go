@@ -46,13 +46,13 @@ type ledgerCell struct {
 	mk   func() core.Engine
 }
 
-func ledgerDataset(t *testing.T, name string) (*data.Dataset, data.Spec) {
+func ledgerDataset(t *testing.T, name string, rows int) (*data.Dataset, data.Spec) {
 	t.Helper()
 	spec, err := data.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec = spec.Scaled(200 / float64(spec.N))
+	spec = spec.Scaled(float64(rows) / float64(spec.N))
 	ds := data.Generate(spec)
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
@@ -78,6 +78,28 @@ func hogbatchCells(prefix string, m model.BatchModel, ds *data.Dataset, step flo
 	}
 }
 
+// gpuVariantCells are the simulated GPU kernel's layouts at a fixed warp
+// bound, so that more than one warp is resident and the inter-warp merge
+// (and, at 16 warps over enough rows, the replica averaging) is pinned.
+func gpuVariantCells(prefix string, m model.Model, ds *data.Dataset, step float64, variants ...string) []ledgerCell {
+	var cells []ledgerCell
+	for _, v := range variants {
+		v := v
+		cells = append(cells, ledgerCell{prefix + "/gpu-hogwild-" + v, m, func() core.Engine {
+			e := core.NewGPUHogwild(m, ds, step)
+			e.Combine = strings.Contains(v, "combine")
+			e.WarpPerExample = strings.HasPrefix(v, "warp")
+			e.SharedMemory = strings.HasPrefix(v, "shared")
+			e.MaxWarps = 4
+			if e.SharedMemory {
+				e.MaxWarps = 16
+			}
+			return e
+		}})
+	}
+	return cells
+}
+
 func hogwildCells(prefix string, m model.Model, ds *data.Dataset, step float64) []ledgerCell {
 	return []ledgerCell{
 		{prefix + "/hogwild-1", m, func() core.Engine { return core.NewHogwild(m, ds, step, 1) }},
@@ -89,12 +111,14 @@ func hogwildCells(prefix string, m model.Model, ds *data.Dataset, step float64) 
 // every per-seed-deterministic engine path, plus MLP on covtype through the
 // Hogbatch modes and Hogwild, plus real-sim (the Zipf generator path the
 // benchmark trains on) × LR and SVM through Hogwild and both Local-SGD
-// engines.
+// engines. The simulated GPU kernel runs at its dataset-scaled occupancy
+// (one warp at 200 rows) and in each layout at a fixed warp bound
+// (gpuVariantCells), covtype also at 600 rows for two shared-memory blocks.
 func ledgerCells(t *testing.T) []ledgerCell {
 	var cells []ledgerCell
 	const step = 0.1
 	for _, dsName := range []string{"w8a", "covtype"} {
-		ds, spec := ledgerDataset(t, dsName)
+		ds, spec := ledgerDataset(t, dsName, 200)
 		for _, m := range []model.BatchModel{model.NewLR(ds.D()), model.NewSVM(ds.D())} {
 			m := m
 			prefix := dsName + "/" + m.Name()
@@ -108,6 +132,7 @@ func ledgerCells(t *testing.T) []ledgerCell {
 				ledgerCell{prefix + "/ps-async-w1", m, func() core.Engine { return ps.NewEngine(ps.ModeAsync, m, ds, step, 1, 2) }},
 			)
 			cells = append(cells, hogbatchCells(prefix, m, ds, step)...)
+			cells = append(cells, gpuVariantCells(prefix, m, ds, step, "w4", "combine-w4", "warp-w4", "shared-w16", "shared-combine-w16")...)
 		}
 		if dsName == "covtype" {
 			mlp := model.NewMLPFor(spec)
@@ -115,7 +140,12 @@ func ledgerCells(t *testing.T) []ledgerCell {
 			cells = append(cells, hogwildCells("covtype/mlp", mlp, ds, step)...)
 		}
 	}
-	ds, _ := ledgerDataset(t, "real-sim")
+	// 600 rows give the shared-memory kernel two thread blocks to average.
+	ds600, _ := ledgerDataset(t, "covtype", 600)
+	for _, m := range []model.Model{model.NewLR(ds600.D()), model.NewSVM(ds600.D())} {
+		cells = append(cells, gpuVariantCells("covtype-600/"+m.Name(), m, ds600, step, "shared-w16")...)
+	}
+	ds, _ := ledgerDataset(t, "real-sim", 200)
 	for _, m := range []model.Model{model.NewLR(ds.D()), model.NewSVM(ds.D())} {
 		m := m
 		prefix := "real-sim/" + m.Name()
