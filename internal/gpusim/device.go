@@ -60,17 +60,6 @@ type Cost struct {
 	Launches     int64   // kernel launches (fixed overhead each)
 }
 
-// Add accumulates another cost into c.
-func (c *Cost) Add(o Cost) {
-	c.Seconds += o.Seconds
-	c.Flops += o.Flops
-	c.LockstepOps += o.LockstepOps
-	c.Bytes += o.Bytes
-	c.WriteBytes += o.WriteBytes
-	c.Transactions += o.Transactions
-	c.Launches += o.Launches
-}
-
 // finish computes Seconds for a kernel from accumulated work using a
 // roofline: the kernel is bound by either compute throughput (lockstep ops)
 // or memory bandwidth (transaction bytes), plus launch overhead.
@@ -149,20 +138,6 @@ func (d *Device) CostElementwise(n int, reads, writes, fpe int) Cost {
 	c := Cost{
 		Flops:        flops,
 		LockstepOps:  flops,
-		Bytes:        bytes,
-		Transactions: int64(bytes / float64(d.Spec.TransactionBytes)),
-		Launches:     1,
-	}
-	return d.finish(c)
-}
-
-// CostReduce models a tree reduction over n elements.
-func (d *Device) CostReduce(n int) Cost {
-	flops := float64(n)
-	bytes := 8 * float64(n)
-	c := Cost{
-		Flops:        flops,
-		LockstepOps:  flops * 1.5, // log-tree underutilisation
 		Bytes:        bytes,
 		Transactions: int64(bytes / float64(d.Spec.TransactionBytes)),
 		Launches:     1,

@@ -1,12 +1,15 @@
 package gpusim
 
+import "slices"
+
 // LaneFunc computes the update of one training example against the current
 // shared model and reports it as (component, delta) pairs through emit. It
 // must treat the model as read-only: the executor decides which deltas land,
 // when, and which are lost to SIMT write conflicts.
 type LaneFunc func(item int, emit func(idx int, delta float64))
 
-// AsyncConfig tunes the simulated asynchronous (Hogwild) kernel.
+// AsyncConfig tunes the simulated asynchronous (Hogwild) kernel, in either
+// of its model placements (RunAsyncEpoch, RunAsyncEpochShared).
 type AsyncConfig struct {
 	// Combine enables the warp-shuffle optimisation the paper mentions
 	// (Section IV-B): updates to the same component from lanes of the
@@ -24,13 +27,16 @@ type AsyncConfig struct {
 	// ReadSupport reports how many model components evaluating one item
 	// *reads* (the gradient-support size), whether or not an update is
 	// emitted. SVM lanes whose margin is satisfied emit nothing but the
-	// kernel still gathers the example and the model; without this hook
-	// their cost would be zero. Nil means "reads equal emissions".
+	// kernel still gathers the example and the model: each component read
+	// beyond those emitted costs half the per-element flops, 12 B of CSR
+	// stream and, from global memory, an 8 B gather, and the longest read
+	// holds the warp in lockstep. Nil means "reads equal emissions".
 	ReadSupport func(item int) int
 	// FaultDrop, when non-nil, is consulted once per item before its lane
 	// emits: true discards the item's update entirely (the fault-injection
 	// hook of internal/chaos). The lane still streams the example and
-	// computes the gradient — the cost stays — but no delta lands.
+	// computes the gradient — the cost stays, as for ReadSupport's reads —
+	// but no delta lands.
 	FaultDrop func(item int) bool
 	// WarpPerExample switches the kernel layout: instead of one example
 	// per lane (32 concurrent examples per warp, divergent on skewed
@@ -54,20 +60,14 @@ type AsyncStats struct {
 	Cost      Cost  // modeled kernel time for the epoch
 }
 
-// pendingDelta is one surviving (component, delta) after warp-level merging.
-type pendingDelta struct {
-	idx   int
-	delta float64
-}
-
 // RunAsyncEpoch executes one epoch of a Hogwild-style kernel over the given
 // items with SIMT semantics:
 //
-//   - items are partitioned contiguously over min(len(items), 32*R) logical
-//     threads, R being the resident-warp bound;
-//   - execution proceeds in lockstep rounds: every resident warp's lanes
-//     evaluate their next item against the round-entry model snapshot
-//     (the executor guarantees apply is not called while lanes run);
+//   - items are partitioned contiguously over min(len(items), R*32) lanes
+//     (or R warps with cfg.WarpPerExample), R being the resident-warp bound;
+//   - execution proceeds in lockstep rounds: every resident warp evaluates
+//     its next item(s) against the round-entry model snapshot (the executor
+//     guarantees apply is not called while lanes run);
 //   - within a warp, unsynchronised writes to the same component collide:
 //     the last lane wins (or, with cfg.Combine, deltas are summed first);
 //   - across warps of the same round, writes to the same component also
@@ -77,246 +77,223 @@ type pendingDelta struct {
 // The returned stats carry the conflict counts and the modeled cost
 // (divergence-aware compute plus coalescing-derived memory traffic).
 func (d *Device) RunAsyncEpoch(items []int, cfg AsyncConfig, lane LaneFunc, apply func(idx int, delta float64)) AsyncStats {
+	st, _ := d.runAsync(items, cfg, nil, func(item int, _ []float64, emit func(int, float64)) { lane(item, emit) }, apply)
+	return st
+}
+
+// RunAsyncEpochShared executes the asynchronous kernel with per-block model
+// replication in shared memory — one of the GPU-specific optimisations the
+// paper's extended version develops for its asynchronous implementation:
+// when the model fits an MP's shared memory (48 KB = 6144 float64 on the
+// K80), every thread block keeps a private replica seeded through read, each
+// warp's merged writes land in its block's replica at once, and the replicas
+// are averaged back through write at the end of the pass. lane evaluates an
+// item against its block's replica.
+//
+// Compared with RunAsyncEpoch this trades statistical efficiency (replicas
+// drift apart during the pass, like DimmWitted's PerNode on the CPU) for
+// hardware efficiency: the scattered model traffic moves to shared memory
+// and only the streaming example data plus one load and flush per block
+// touch global memory.
+//
+// nParams must satisfy nParams*8 <= Spec.SharedMemPerMP, or the call panics
+// — the caller is expected to fall back to RunAsyncEpoch.
+func (d *Device) RunAsyncEpochShared(nParams int, items []int, cfg AsyncConfig, read func(idx int) float64, lane func(item int, replica []float64, emit func(idx int, delta float64)), write func(idx int, v float64)) AsyncStats {
+	if int64(nParams)*8 > d.Spec.SharedMemPerMP {
+		panic("gpusim: model does not fit shared memory; use RunAsyncEpoch")
+	}
+	w := make([]float64, nParams)
+	for j := range w {
+		w[j] = read(j)
+	}
+	st, avg := d.runAsync(items, cfg, w, lane, nil)
+	for j, v := range avg {
+		write(j, v)
+	}
+	return st
+}
+
+// warpsPerBlock is the thread-block size, in warps, of the shared-memory
+// placement: each block of resident warps owns one model replica.
+const warpsPerBlock = 8
+
+// runAsync is the one warp-round loop behind both entry points. Slots —
+// lanes, or whole warps with cfg.WarpPerExample — each walk a contiguous
+// chunk of items, one item per round. Each resident warp evaluates its
+// slots' items, merges its lanes' writes, and lands them: with seed == nil
+// in global memory, where the last warp wins at round end through apply;
+// otherwise at once in its block's replica of seed, and the replicas'
+// average is returned.
+func (d *Device) runAsync(items []int, cfg AsyncConfig, seed []float64, lane func(item int, replica []float64, emit func(int, float64)), apply func(idx int, delta float64)) (AsyncStats, []float64) {
 	var st AsyncStats
 	n := len(items)
 	if n == 0 {
 		st.Cost = d.finish(Cost{Launches: 1})
-		return st
-	}
-	if cfg.WarpPerExample {
-		return d.runWarpPerExample(items, cfg, lane, apply)
+		return st, nil
 	}
 	ws := d.Spec.WarpSize
+	perWarp, lanesPerItem := ws, 1
+	if cfg.WarpPerExample {
+		perWarp, lanesPerItem = 1, ws
+	}
 	maxWarps := cfg.MaxWarps
 	if maxWarps <= 0 {
 		maxWarps = d.Spec.MaxResidentWarps()
 	}
-	threads := maxWarps * ws
-	if threads > n {
-		threads = n
+	// Every read component streams its CSR value and column index; from
+	// global memory it also gathers the model component.
+	readBytes := 20.0
+	if seed != nil {
+		maxWarps = (maxWarps + warpsPerBlock - 1) / warpsPerBlock * warpsPerBlock
+		readBytes = 12
 	}
-	warps := (threads + ws - 1) / ws
-	chunk := (n + threads - 1) / threads
+	slots := min(maxWarps*perWarp, n)
+	warps := (slots + perWarp - 1) / perWarp
+	chunk := (n + slots - 1) / slots
 	fpe := cfg.FlopsPerElement
 	if fpe <= 0 {
 		fpe = 4
 	}
 
+	cost := Cost{Launches: 1}
+	var replicas [][]float64
+	if seed != nil {
+		replicas = make([][]float64, (warps+warpsPerBlock-1)/warpsPerBlock)
+		for b := range replicas {
+			replicas[b] = slices.Clone(seed)
+		}
+		// The replica load and final flush are the only global model
+		// traffic: coalesced streams (the flush is the write half).
+		cost.Bytes += float64(len(replicas)) * float64(len(seed)) * 8 * 2
+		cost.WriteBytes += float64(len(replicas)) * float64(len(seed)) * 8
+	}
+
 	// Per-lane emission buffers, reused across rounds.
-	laneIdx := make([][]int64, ws)
-	laneDelta := make([][]float64, ws)
-
-	// Round-level merge across warps: last writer wins per component.
-	roundWinner := make(map[int]pendingDelta)
-	// Warp-level merge buffer.
-	warpMerged := make(map[int]float64)
-
-	var cost Cost
-	cost.Launches = 1
+	laneIdx := make([][]int64, perWarp)
+	laneDelta := make([][]float64, perWarp)
+	merged := make(map[int]float64)      // one warp's writes after lane merging
+	roundWinner := make(map[int]float64) // a round's global writes: last warp wins
 	for round := 0; round < chunk; round++ {
 		clear(roundWinner)
 		anyWork := false
 		for w := 0; w < warps; w++ {
-			var warpMaxLen int
-			lanesActive := 0
-			for l := 0; l < ws; l++ {
-				laneIdx[l] = laneIdx[l][:0]
-				laneDelta[l] = laneDelta[l][:0]
-				t := w*ws + l
-				if t >= threads {
-					continue
-				}
+			var rep []float64
+			if replicas != nil {
+				rep = replicas[w/warpsPerBlock]
+			}
+			maxLen, active := 0, 0
+			for l := range laneIdx {
+				laneIdx[l], laneDelta[l] = laneIdx[l][:0], laneDelta[l][:0]
+				t := w*perWarp + l
 				pos := t*chunk + round
-				if pos >= n || pos >= (t+1)*chunk {
+				if t >= slots || pos >= n || pos >= (t+1)*chunk {
 					continue
 				}
-				lanesActive++
-				if cfg.FaultDrop != nil && cfg.FaultDrop(items[pos]) {
-					// The dropped update's compute and example stream
-					// still cost; only the write disappears.
+				active++
+				item := items[pos]
+				reads := 0
+				if cfg.ReadSupport != nil {
+					reads = cfg.ReadSupport(item)
+				}
+				if cfg.FaultDrop != nil && cfg.FaultDrop(item) {
+					// The dropped update's compute and reads still
+					// cost; only the write disappears.
 					st.Dropped++
-					reads := 0
-					if cfg.ReadSupport != nil {
-						reads = cfg.ReadSupport(items[pos])
-					}
 					cost.Flops += float64(reads) * float64(fpe)
-					cost.Bytes += float64(reads) * 20
-					if reads > warpMaxLen {
-						warpMaxLen = reads
-					}
+					cost.Bytes += float64(reads) * readBytes
+					maxLen = max(maxLen, reads)
 					continue
 				}
 				li, ld := laneIdx[l], laneDelta[l]
-				lane(items[pos], func(idx int, delta float64) {
+				lane(item, rep, func(idx int, delta float64) {
 					li = append(li, int64(idx))
 					ld = append(ld, delta)
 				})
 				laneIdx[l], laneDelta[l] = li, ld
-				laneLen := len(li)
-				if cfg.ReadSupport != nil {
-					if reads := cfg.ReadSupport(items[pos]); reads > laneLen {
-						// Read-only work: example stream, model
-						// gather, margin arithmetic — no write.
-						extra := reads - laneLen
-						cost.Flops += float64(extra) * float64(fpe) / 2
-						cost.Bytes += float64(extra) * 20 // 12B CSR + 8B gather
-						laneLen = reads
-					}
+				if extra := reads - len(li); extra > 0 {
+					// Read-only work: example stream, model gather,
+					// margin arithmetic — no write.
+					cost.Flops += float64(extra) * float64(fpe) / 2
+					cost.Bytes += float64(extra) * readBytes
 				}
-				if laneLen > warpMaxLen {
-					warpMaxLen = laneLen
-				}
+				maxLen = max(maxLen, reads, len(li))
 			}
-			if lanesActive == 0 {
+			if active == 0 {
 				continue
 			}
 			anyWork = true
 
-			// Merge lanes within the warp.
-			clear(warpMerged)
+			// Merge lanes within the warp, in lane order.
+			clear(merged)
 			var emitted int64
-			for l := 0; l < ws; l++ {
-				for k, ix := range laneIdx[l] {
-					emitted++
+			for l, lidx := range laneIdx {
+				for k, ix := range lidx {
 					idx := int(ix)
 					if cfg.Combine {
-						warpMerged[idx] += laneDelta[l][k]
-					} else {
-						if _, dup := warpMerged[idx]; dup {
-							st.LostIntra++
-						}
-						warpMerged[idx] = laneDelta[l][k] // last lane wins
+						merged[idx] += laneDelta[l][k]
+						continue
 					}
+					if _, dup := merged[idx]; dup {
+						st.LostIntra++
+					}
+					merged[idx] = laneDelta[l][k] // last lane wins
 				}
+				emitted += int64(len(lidx))
 			}
 			st.Updates += emitted
-
-			// Merge across warps of this round: last warp wins.
-			for idx, delta := range warpMerged {
+			for idx, delta := range merged {
+				if rep != nil {
+					rep[idx] += delta
+					st.Applied++
+					continue
+				}
 				if _, dup := roundWinner[idx]; dup {
 					st.LostInter++
 				}
-				roundWinner[idx] = pendingDelta{idx, delta}
+				roundWinner[idx] = delta
 			}
 
 			// Cost accounting for this warp-round: divergence makes
-			// every lane pay for the longest lane; model reads and
-			// writes follow the coalescing rule; the example data
-			// itself streams from contiguous CSR storage.
+			// every lane pay for the longest item (strided over
+			// lanesPerItem lanes); the example data streams from
+			// contiguous CSR storage. Shared-memory model accesses are
+			// effectively free next to global traffic.
 			cost.Flops += float64(emitted) * float64(fpe)
-			cost.LockstepOps += float64(ws*warpMaxLen) * float64(fpe)
-			tr := d.warpTraffic(laneIdx[:ws], 8, 2) // model read + write
-			cost.Transactions += tr.Transactions
-			// Scattered read-modify-write traffic replays and
-			// write-allocates: it sustains roughly a third of the
-			// streaming bandwidth, so count it threefold. Reads and
-			// writes touch the same addresses, so half of it is the
-			// write share.
-			cost.Bytes += tr.Bytes * 3
-			cost.WriteBytes += tr.Bytes * 3 / 2
-			cost.Bytes += float64(emitted) * 12 // CSR value + column index stream
+			cost.LockstepOps += float64(ws*((maxLen+lanesPerItem-1)/lanesPerItem)) * float64(fpe)
+			cost.Bytes += float64(emitted) * 12
+			if rep == nil {
+				// Global model reads and writes follow the
+				// coalescing rule. Scattered read-modify-write
+				// traffic replays and write-allocates: it sustains
+				// roughly a third of the streaming bandwidth, so
+				// count it threefold; half of it is the write share.
+				tr := d.warpTraffic(laneIdx, 8, 2)
+				cost.Transactions += tr.Transactions
+				cost.Bytes += tr.Bytes * 3
+				cost.WriteBytes += tr.Bytes * 3 / 2
+			}
 		}
 		if !anyWork {
 			break
 		}
 		st.Rounds++
-		for _, pd := range roundWinner {
-			apply(pd.idx, pd.delta)
+		for idx, delta := range roundWinner {
+			apply(idx, delta)
 			st.Applied++
 		}
 	}
 	st.Cost = d.finish(cost)
-	return st
-}
-
-// runWarpPerExample executes the cooperative layout: each resident warp
-// processes one example per round, with the example's components strided
-// across its 32 lanes. See AsyncConfig.WarpPerExample.
-func (d *Device) runWarpPerExample(items []int, cfg AsyncConfig, lane LaneFunc, apply func(idx int, delta float64)) AsyncStats {
-	var st AsyncStats
-	n := len(items)
-	ws := d.Spec.WarpSize
-	maxWarps := cfg.MaxWarps
-	if maxWarps <= 0 {
-		maxWarps = d.Spec.MaxResidentWarps()
+	if replicas == nil {
+		return st, nil
 	}
-	warps := maxWarps
-	if warps > n {
-		warps = n
-	}
-	chunk := (n + warps - 1) / warps
-	fpe := cfg.FlopsPerElement
-	if fpe <= 0 {
-		fpe = 4
-	}
-
-	idxBuf := make([]int64, 0, 1024)
-	deltaBuf := make([]float64, 0, 1024)
-	roundWinner := make(map[int]pendingDelta)
-
-	var cost Cost
-	cost.Launches = 1
-	for round := 0; round < chunk; round++ {
-		clear(roundWinner)
-		anyWork := false
-		for wp := 0; wp < warps; wp++ {
-			pos := wp*chunk + round
-			if pos >= n || pos >= (wp+1)*chunk {
-				continue
-			}
-			anyWork = true
-			if cfg.FaultDrop != nil && cfg.FaultDrop(items[pos]) {
-				st.Dropped++
-				if cfg.ReadSupport != nil {
-					reads := cfg.ReadSupport(items[pos])
-					cost.Flops += float64(reads) * float64(fpe)
-					cost.Bytes += float64(reads) * 20
-				}
-				continue
-			}
-			idxBuf = idxBuf[:0]
-			deltaBuf = deltaBuf[:0]
-			lane(items[pos], func(idx int, delta float64) {
-				idxBuf = append(idxBuf, int64(idx))
-				deltaBuf = append(deltaBuf, delta)
-			})
-			if cfg.ReadSupport != nil {
-				if reads := cfg.ReadSupport(items[pos]); reads > len(idxBuf) {
-					extra := reads - len(idxBuf)
-					cost.Flops += float64(extra) * float64(fpe) / 2
-					cost.Bytes += float64(extra) * 20
-				}
-			}
-			// One example per warp: no intra-warp conflicts by
-			// construction. Cross-warp last-writer-wins remains.
-			for k, ix := range idxBuf {
-				if _, dup := roundWinner[int(ix)]; dup {
-					st.LostInter++
-				}
-				roundWinner[int(ix)] = pendingDelta{int(ix), deltaBuf[k]}
-			}
-			st.Updates += int64(len(idxBuf))
-			// Lanes stride the example's components: lockstep slots
-			// round up to warp multiples but no lane waits on a
-			// longer neighbour.
-			slots := (len(idxBuf) + ws - 1) / ws * ws
-			cost.Flops += float64(len(idxBuf)) * float64(fpe)
-			cost.LockstepOps += float64(slots) * float64(fpe)
-			tx := Transactions(idxBuf, 8, d.Spec.TransactionBytes) * 2
-			cost.Transactions += tx
-			cost.Bytes += float64(tx)*float64(d.Spec.TransactionBytes)*3 + float64(len(idxBuf))*12
-			// Half the doubled transaction traffic is the write pass.
-			cost.WriteBytes += float64(tx) / 2 * float64(d.Spec.TransactionBytes) * 3
+	// Average the replicas back to global memory.
+	inv := 1 / float64(len(replicas))
+	for j := range seed {
+		var s float64
+		for _, r := range replicas {
+			s += r[j]
 		}
-		if !anyWork {
-			break
-		}
-		st.Rounds++
-		for _, pd := range roundWinner {
-			apply(pd.idx, pd.delta)
-			st.Applied++
-		}
+		seed[j] = s * inv
 	}
-	st.Cost = d.finish(cost)
-	return st
+	return st, seed
 }

@@ -146,15 +146,6 @@ func TestCostMonotonicInSize(t *testing.T) {
 	}
 }
 
-func TestCostAdd(t *testing.T) {
-	var c Cost
-	c.Add(Cost{Seconds: 1, Flops: 2, Bytes: 3, Transactions: 4, Launches: 5, LockstepOps: 6})
-	c.Add(Cost{Seconds: 1, Flops: 2, Bytes: 3, Transactions: 4, Launches: 5, LockstepOps: 6})
-	if c.Seconds != 2 || c.Flops != 4 || c.Bytes != 6 || c.Transactions != 8 || c.Launches != 10 || c.LockstepOps != 12 {
-		t.Fatalf("Cost.Add = %+v", c)
-	}
-}
-
 // denseLane emulates a dense-model update: every lane touches all dim
 // components with delta 1.
 func denseLane(dim int) LaneFunc {
