@@ -111,35 +111,6 @@ func TestSyncEngineModeledTimePositiveAndOrdered(t *testing.T) {
 	}
 }
 
-func TestSyncMiniBatchUpdatesMoreOften(t *testing.T) {
-	ds, _ := smallDataset(t, "w8a", 300)
-	m := model.NewLR(ds.D())
-	full := NewSync(linalg.NewCPU(1), m, ds, 1)
-	mini := NewSync(linalg.NewCPU(1), m, ds, 1)
-	mini.Batch = 50
-	wf := m.InitParams(1)
-	wm := m.InitParams(1)
-	full.RunEpoch(wf)
-	mini.RunEpoch(wm)
-	// Mini-batch makes n/B updates per epoch: after one epoch the models
-	// must differ.
-	same := true
-	for j := range wf {
-		if wf[j] != wm[j] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("mini-batch epoch identical to full-batch epoch")
-	}
-	lf := model.MeanLoss(m, wf, ds)
-	lm := model.MeanLoss(m, wm, ds)
-	if lm >= lf {
-		t.Fatalf("mini-batch should converge faster per epoch: %v vs %v", lm, lf)
-	}
-}
-
 func TestHogwildSequentialConverges(t *testing.T) {
 	ds, _ := smallDataset(t, "w8a", 600)
 	m := model.NewLR(ds.D())

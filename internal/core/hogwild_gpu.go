@@ -46,8 +46,9 @@ type GPUHogwildEngine struct {
 	// models qualify). Falls back to the flat kernel otherwise.
 	SharedMemory bool
 	// WarpPerExample selects the cooperative kernel layout (see
-	// gpusim.AsyncConfig.WarpPerExample): no intra-warp conflicts or
-	// divergence, 32x fewer concurrent examples.
+	// gpusim.AsyncConfig.WarpPerExample), with or without SharedMemory:
+	// no intra-warp conflicts or divergence, 32x fewer concurrent
+	// examples.
 	WarpPerExample bool
 
 	stats gpusim.AsyncStats

@@ -106,7 +106,6 @@ func TestSyncRecordsBarrierAndBatches(t *testing.T) {
 	ds, _ := smallDataset(t, "w8a", 400)
 	m := model.NewLR(ds.D())
 	e := NewSync(linalg.NewCPU(56), m, ds, 1)
-	e.Batch = 100
 	e.EpochOverhead = 1.9
 	w := m.InitParams(1)
 	const epochs = 2
@@ -119,7 +118,7 @@ func TestSyncRecordsBarrierAndBatches(t *testing.T) {
 	if !relClose(r.EnginePhaseSum(), r.Seconds, 1e-9) {
 		t.Fatalf("phase sum %v != modeled seconds %v", r.EnginePhaseSum(), r.Seconds)
 	}
-	wantBatches := int64(epochs * ((ds.N() + 99) / 100))
+	wantBatches := int64(epochs)
 	if got := r.Counter(obs.CounterBatches); got != wantBatches {
 		t.Fatalf("batches = %d, want %d", got, wantBatches)
 	}

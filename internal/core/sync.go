@@ -11,12 +11,12 @@ import (
 
 // SyncEngine is synchronous SGD (the paper's Algorithm 2): the gradient is
 // computed with blocking linear-algebra primitives on a backend and the
-// model is updated once per batch, with full-dataset batches by default —
+// model is updated once per epoch from the full-dataset gradient —
 // synchronous SGD "becomes batch gradient descent" (Section IV-A). The
 // identical code runs on every backend; only the cost accounting differs.
 //
 // The recorder receives phase timings (gradient = batch-gradient kernels,
-// update = Axpy, barrier = EpochOverhead) and the batch count. An enabled
+// update = Axpy, barrier = EpochOverhead) and the one batch. An enabled
 // chaos controller stretches the epoch by the plan's synchronous slowdown:
 // the per-epoch barrier waits out the straggler's full F-times share —
 // unless Chaos.Deadline caps the wait, in which case the update proceeds
@@ -30,9 +30,6 @@ type SyncEngine struct {
 	Model   model.BatchModel
 	Data    *data.Dataset
 	Step    float64
-	// Batch is the examples per model update; 0 means the full dataset
-	// (the paper's synchronous configuration).
-	Batch int
 	// CostScale multiplies the modeled epoch time. The harness uses it
 	// for configurations whose per-epoch kernel *count* grows with the
 	// dataset (the chunked MLP pipeline): each kernel keeps its true
@@ -48,7 +45,6 @@ type SyncEngine struct {
 	EpochOverhead float64
 
 	grad []float64
-	rows []int
 }
 
 // NewSync builds a synchronous engine with full-batch updates.
@@ -101,35 +97,10 @@ func (e *SyncEngine) RunEpoch(w []float64) float64 {
 	stretch, stepScale, shortfall := e.chaosStretch()
 	meter := e.Backend.Meter()
 	start := meter.Seconds()
-	var updSec float64
-	var batches int64
-	step := func(rows []int) {
-		e.Model.BatchGrad(e.Backend, w, e.Data, rows, e.grad)
-		u0 := meter.Seconds()
-		e.Backend.Axpy(-e.Step*stepScale, e.grad, w)
-		updSec += meter.Seconds() - u0
-		batches++
-	}
-	n := e.Data.N()
-	batch := e.Batch
-	if batch <= 0 || batch >= n {
-		step(nil)
-	} else {
-		if e.rows == nil {
-			e.rows = make([]int, 0, batch)
-		}
-		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			e.rows = e.rows[:0]
-			for i := lo; i < hi; i++ {
-				e.rows = append(e.rows, i)
-			}
-			step(e.rows)
-		}
-	}
+	e.Model.BatchGrad(e.Backend, w, e.Data, nil, e.grad)
+	u0 := meter.Seconds()
+	e.Backend.Axpy(-e.Step*stepScale, e.grad, w)
+	updSec := meter.Seconds() - u0
 	sec := meter.Seconds() - start
 	scale := costScale(e.CostScale)
 	// Phase attribution: batch-gradient kernels are the gradient phase,
@@ -141,8 +112,8 @@ func (e *SyncEngine) RunEpoch(w []float64) float64 {
 	rec.Phase(obs.PhaseGradient, (sec-updSec)*scale)
 	rec.Phase(obs.PhaseUpdate, updSec*scale)
 	rec.Phase(obs.PhaseBarrier, barrier)
-	rec.Add(obs.CounterBatches, batches)
-	rec.Add(obs.CounterWorkerUpdates, batches)
+	rec.Add(obs.CounterBatches, 1)
+	rec.Add(obs.CounterWorkerUpdates, 1)
 	if shortfall > 0 {
 		e.Chaos.Injector().CountShortfall(shortfall)
 	}

@@ -4,7 +4,8 @@
 //
 // It has two halves that mirror the paper's two performance axes:
 //
-//   - A functional execution engine (RunAsyncEpoch) that executes
+//   - A functional execution engine (RunAsyncEpoch, RunAsyncEpochShared:
+//     one warp-round loop over the kernel layouts) that executes
 //     asynchronous-SGD kernels with real SIMT semantics: threads grouped in
 //     32-lane warps run in lockstep, every resident warp computes its lane
 //     gradients from the round-entry model snapshot, and unsynchronised

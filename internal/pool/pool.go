@@ -18,7 +18,6 @@
 package pool
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,9 +39,8 @@ type Task interface {
 // each chunk — the hook request-level span tracing uses to emit per-worker
 // shard spans. Worker is the executing worker's index in [0, Size), or -1
 // when the chunk ran on the calling goroutine (the caller's own first chunk,
-// help-stolen chunks, the inline fallback when the queue is full, and every
-// chunk of a sequential pool). RunShard is called instead of Run; the
-// contract on ranges is identical.
+// help-stolen chunks, and the inline fallback when the queue is full).
+// RunShard is called instead of Run; the contract on ranges is identical.
 type ShardTask interface {
 	Task
 	RunShard(worker, lo, hi int)
@@ -90,11 +88,6 @@ type Pool struct {
 	size  int
 	tasks chan call
 	dones chan *doneGroup
-	// seqRng, when non-nil, switches the pool into the deterministic
-	// sequential mode: Run executes every chunk inline on the caller, in a
-	// seeded permutation order, with no worker goroutines. See
-	// NewSequential.
-	seqRng *rand.Rand
 }
 
 // New starts a pool with the given number of persistent workers. Sizes
@@ -115,27 +108,6 @@ func New(size int) *Pool {
 	return p
 }
 
-// NewSequential returns a pool that reports the given size but executes
-// every Run single-threaded on the calling goroutine, visiting the chunks in
-// a seeded permutation order. Two pools built with the same seed replay the
-// same chunk order on every call sequence; the chunk *split* is identical to
-// the concurrent pool's, so a Task sees the same (lo, hi) ranges either way.
-//
-// This is the schedule-control substrate of the chaos harness: engines that
-// dispatch racy work through a pool become exactly replayable when handed a
-// sequential pool, without any change to the engine code. A sequential pool
-// is not safe for concurrent Run calls (there is nothing concurrent about
-// it); tests and the chaos runner drive it from one goroutine.
-func NewSequential(size int, seed int64) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	return &Pool{size: size, seqRng: rand.New(rand.NewSource(seed))}
-}
-
-// Sequential reports whether the pool is in deterministic sequential mode.
-func (p *Pool) Sequential() bool { return p.seqRng != nil }
-
 var (
 	defaultOnce sync.Once
 	defaultPool *Pool
@@ -154,11 +126,7 @@ func (p *Pool) Size() int { return p.size }
 
 // Close stops the workers once the queue drains. Only tests that create
 // private pools need it; the Default pool lives for the process.
-func (p *Pool) Close() {
-	if p.tasks != nil {
-		close(p.tasks)
-	}
-}
+func (p *Pool) Close() { close(p.tasks) }
 
 func (p *Pool) worker(id int) {
 	for c := range p.tasks {
@@ -192,20 +160,6 @@ func (p *Pool) Run(workers, n int, t Task) {
 	nchunks := (n + chunk - 1) / chunk
 	if nchunks <= 1 {
 		runChunk(t, -1, 0, n)
-		return
-	}
-	if p.seqRng != nil {
-		// Sequential mode: the same chunk split, executed inline in a
-		// seeded permutation order. No goroutines, no channels — the
-		// whole Run is a deterministic function of the seed stream.
-		for _, k := range p.seqRng.Perm(nchunks) {
-			lo := k * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			runChunk(t, -1, lo, hi)
-		}
 		return
 	}
 	d := p.getDone()

@@ -221,28 +221,20 @@ func TestShardTaskReceivesWorkerIdentity(t *testing.T) {
 	}
 }
 
+// TestShardTaskSequentialAndInlineReportCaller checks that a Run executed
+// sequentially inline on the caller (workers <= 1) reports every chunk as
+// the caller's.
 func TestShardTaskSequentialAndInlineReportCaller(t *testing.T) {
-	for _, mk := range []func() *Pool{
-		func() *Pool { return NewSequential(4, 1) },
-		func() *Pool { return New(4) },
-	} {
-		p := mk()
-		rec := &shardRecorder{workers: make([]int32, 100)}
-		if p.Sequential() {
-			p.Run(4, 100, rec)
-		} else {
-			p.Run(1, 100, rec) // workers<=1: inline path
-			defer p.Close()
+	p := New(4)
+	defer p.Close()
+	rec := &shardRecorder{workers: make([]int32, 100)}
+	p.Run(1, 100, rec)
+	for i, w := range rec.workers {
+		if w == 0 {
+			t.Fatalf("index %d unvisited", i)
 		}
-		for i, w := range rec.workers {
-			if p.Sequential() || i < 100 {
-				if w != 0 && int(w)-2 != -1 {
-					t.Fatalf("inline/sequential chunk reported worker %d", int(w)-2)
-				}
-			}
-			if w == 0 {
-				t.Fatalf("index %d unvisited", i)
-			}
+		if int(w)-2 != -1 {
+			t.Fatalf("inline chunk reported worker %d", int(w)-2)
 		}
 	}
 }

@@ -141,41 +141,3 @@ func TestSequencerGate(t *testing.T) {
 		t.Fatalf("worker ran %d steps ahead, bound %d", maxLead, bound)
 	}
 }
-
-func TestSequentialPoolReplaysChunkOrder(t *testing.T) {
-	order := func(seed int64) []int {
-		p := NewSequential(4, seed)
-		defer p.Close()
-		var got []int
-		p.RunFunc(4, 400, func(lo, hi int) { got = append(got, lo) })
-		return got
-	}
-	a, b, c := order(11), order(11), order(12)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different chunk orders: %v vs %v", a, b)
-	}
-	if reflect.DeepEqual(a, c) {
-		t.Fatalf("different seeds, identical chunk orders: %v", a)
-	}
-	if len(a) != 4 {
-		t.Fatalf("got %d chunks, want 4", len(a))
-	}
-}
-
-// TestSequentialPoolCoversRange checks the sequential mode visits exactly
-// the same index set as the concurrent pool.
-func TestSequentialPoolCoversRange(t *testing.T) {
-	p := NewSequential(3, 9)
-	defer p.Close()
-	seen := make([]int, 1000)
-	p.RunFunc(3, len(seen), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
-	}
-}
