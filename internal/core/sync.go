@@ -16,13 +16,13 @@ import (
 // identical code runs on every backend; only the cost accounting differs.
 //
 // The recorder receives phase timings (gradient = batch-gradient kernels,
-// update = Axpy, barrier = EpochOverhead) and the one batch. An enabled
-// chaos controller stretches the epoch by the plan's synchronous slowdown:
-// the per-epoch barrier waits out the straggler's full F-times share —
-// unless Chaos.Deadline caps the wait, in which case the update proceeds
-// with the gradient fraction received by the deadline (the straggler's
-// missing contributions are counted as shortfall). This is the fragile half
-// of the paper's contrast: the identical fault that barely moves the Hogwild
+// update = Axpy, barrier = EpochOverhead) and the batch count, one per
+// epoch. An enabled chaos controller stretches the epoch by the plan's
+// synchronous slowdown: the per-epoch barrier waits out the straggler's full
+// F-times share — unless Chaos.Deadline caps the wait, in which case the
+// update proceeds with the gradient fraction received by the deadline (the
+// straggler's missing contributions are counted as shortfall). This is the
+// fragile half of the paper's contrast: the identical fault that barely moves the Hogwild
 // engines multiplies every synchronous epoch.
 type SyncEngine struct {
 	hooks

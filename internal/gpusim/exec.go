@@ -168,9 +168,17 @@ func (d *Device) runAsync(items []int, cfg AsyncConfig, seed []float64, lane fun
 		cost.WriteBytes += float64(len(replicas)) * float64(len(seed)) * 8
 	}
 
-	// Per-lane emission buffers, reused across rounds.
+	// Per-lane emission buffers and their emit callbacks, reused across
+	// rounds.
 	laneIdx := make([][]int64, perWarp)
 	laneDelta := make([][]float64, perWarp)
+	emit := make([]func(int, float64), perWarp)
+	for l := range emit {
+		emit[l] = func(idx int, delta float64) {
+			laneIdx[l] = append(laneIdx[l], int64(idx))
+			laneDelta[l] = append(laneDelta[l], delta)
+		}
+	}
 	merged := make(map[int]float64)      // one warp's writes after lane merging
 	roundWinner := make(map[int]float64) // a round's global writes: last warp wins
 	for round := 0; round < chunk; round++ {
@@ -204,19 +212,15 @@ func (d *Device) runAsync(items []int, cfg AsyncConfig, seed []float64, lane fun
 					maxLen = max(maxLen, reads)
 					continue
 				}
-				li, ld := laneIdx[l], laneDelta[l]
-				lane(item, rep, func(idx int, delta float64) {
-					li = append(li, int64(idx))
-					ld = append(ld, delta)
-				})
-				laneIdx[l], laneDelta[l] = li, ld
-				if extra := reads - len(li); extra > 0 {
-					// Read-only work: example stream, model gather,
+				lane(item, rep, emit[l])
+				emits := len(laneIdx[l])
+				if extra := reads - emits; extra > 0 {
+					// Read-only work: example stream, model reads,
 					// margin arithmetic — no write.
 					cost.Flops += float64(extra) * float64(fpe) / 2
 					cost.Bytes += float64(extra) * readBytes
 				}
-				maxLen = max(maxLen, reads, len(li))
+				maxLen = max(maxLen, reads, emits)
 			}
 			if active == 0 {
 				continue

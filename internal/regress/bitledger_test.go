@@ -84,7 +84,6 @@ func hogbatchCells(prefix string, m model.BatchModel, ds *data.Dataset, step flo
 func gpuVariantCells(prefix string, m model.Model, ds *data.Dataset, step float64, variants ...string) []ledgerCell {
 	var cells []ledgerCell
 	for _, v := range variants {
-		v := v
 		cells = append(cells, ledgerCell{prefix + "/gpu-hogwild-" + v, m, func() core.Engine {
 			e := core.NewGPUHogwild(m, ds, step)
 			e.Combine = strings.Contains(v, "combine")
